@@ -12,8 +12,9 @@ from .basis import (BasisSystem, CoefSet, DesignMatrix, TimeGrid, design_matrix,
 from .mixtures import (GmmParams, MeanModel, bayes_allocate, fit_gmm_em,
                        gaussian_log_density, kmeans_allocate,
                        mixture_log_density, spherical_log_likelihood)
-from .pipeline import (ClusterVolume, ColumnStats, MeanFunctions, RunConfig,
-                       TwoStageResult, VolumeSeries, export_cluster_map,
+from .pipeline import (ClusterVolume, ColumnStats, FallbackWarning,
+                       MeanFunctions, RunConfig, TwoStageResult,
+                       VolumeSeries, export_cluster_map,
                        export_mean_functions, load_labels_civl, load_volume,
                        normalize_columns, render_slice, run_two_stage,
                        save_labels_civl, save_volume_civt)

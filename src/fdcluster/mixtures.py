@@ -23,6 +23,10 @@ LOG_2PI = math.log(2.0 * math.pi)
 # accumulation order (hence bit-level output) never depends on input size.
 _CHUNK = 1 << 15
 
+# Rows per block of the nearest-mean kernel, so that a block's scores and
+# differences stay in cache; every result is per row and does not depend on it.
+_NEAREST_ROWS = 1024
+
 
 @dataclass
 class GmmParams:
@@ -140,6 +144,60 @@ def _sq_distances(U: np.ndarray, means: np.ndarray) -> np.ndarray:
     return out
 
 
+def nearest_mean(U: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest mean of every row (0-based) and the squared distance to it.
+
+    Both are bit-identical to ``np.argmin(_sq_distances(U, means), axis=1)``
+    (ties toward the lowest index) and the distance it selects. The search
+    scores ``||mu||^2 - 2 u.mu`` with one matrix product; the chosen
+    distance is recomputed in the difference form of `_sq_distances`, and
+    rows whose two best scores lie within rounding of each other are
+    rescored exactly.
+
+    Rounding bound. Let S = ||u||^2 + max_c ||mu_c||^2 and g = (d + 3) eps
+    with eps = 2^-53. The product scores h_c err by at most 2gS (the dot
+    product by g * sum_j |2 u_j mu_cj| <= gS, ||mu_c||^2 by gS, the final
+    addition by 2 eps S), and the difference-form distances D_c by at most
+    2gS (each term carries 3 eps, the sum g, and ||u - mu_c||^2 <= 2S).
+    h_c and D_c - ||u||^2 estimate the same number, so if the exact rule
+    picks a and the search picks b != a, then
+    0 <= h_a - h_b <= (D_a - D_b) + 8gS <= 8gS: the two best scores lie
+    within 8gS of each other. As ||u||^2 <= 2 ||u - mu_b||^2 + 2 ||mu_b||^2,
+    S <= (1 + g) (2 D_b + 3 max_c ||mu_c||^2). So every row where the two
+    rules could disagree, exact ties included, has a gap of at most
+    rtol * (2 D_b + 3 max_c ||mu_c||^2); rtol = max(1e-10, 16g) is at
+    least twice the bound (about 1000 times it at d = 100).
+    """
+    n, d = U.shape
+    mu_sq = np.einsum("ij,ij->i", means, means)
+    neg2_means = -2.0 * means
+    slack = 3.0 * float(mu_sq.max())
+    rtol = max(1e-10, 16.0 * (d + 3) * 2.0 ** -53)
+    labels = np.empty(n, dtype=np.intp)
+    dist = np.empty(n)
+    for lo in range(0, n, _NEAREST_ROWS):
+        block = U[lo:lo + _NEAREST_ROWS]
+        rows = np.arange(block.shape[0])
+        # column-major scores: the row-wise min below then runs over k
+        # contiguous columns instead of n short rows
+        scores = (neg2_means @ block.T).T
+        scores += mu_sq
+        lab = np.argmin(scores, axis=1)
+        best = scores[rows, lab]
+        scores[rows, lab] = np.inf
+        gap = scores.min(axis=1) - best
+        diff = block - means[lab]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        near = np.flatnonzero(gap <= rtol * (2.0 * d2 + slack))
+        if near.size:
+            exact = _sq_distances(block[near], means)
+            lab[near] = np.argmin(exact, axis=1)
+            d2[near] = exact[np.arange(near.size), lab[near]]
+        labels[lo:lo + _NEAREST_ROWS] = lab
+        dist[lo:lo + _NEAREST_ROWS] = d2
+    return labels, dist
+
+
 def spherical_log_likelihood(B, model: MeanModel) -> float:
     """Equal-weight spherical mixture log-likelihood of the coefficient set.
 
@@ -180,13 +238,8 @@ def bayes_allocate(b, params: GmmParams):
 def kmeans_allocate(b, model: MeanModel):
     """Nearest-mean cluster index (1-based); ties toward the lowest index."""
     arr = np.asarray(b, dtype=float)
-    single = arr.ndim == 1
-    B = np.atleast_2d(arr)
-    labels = np.empty(B.shape[0], dtype=np.int64)
-    for lo in range(0, B.shape[0], _CHUNK):
-        d2 = _sq_distances(B[lo:lo + _CHUNK], model.means)
-        labels[lo:lo + _CHUNK] = np.argmin(d2, axis=1) + 1
-    return int(labels[0]) if single else labels
+    labels = nearest_mean(np.atleast_2d(arr), model.means)[0] + 1
+    return int(labels[0]) if arr.ndim == 1 else labels
 
 
 def _em_loglik(B: np.ndarray, params: GmmParams) -> tuple[float, np.ndarray]:

@@ -30,9 +30,11 @@ import numpy as np
 from .basis import (CoefSet, TimeGrid, design_matrix, detrend,
                     make_bspline_system, ols_fit)
 from .mixtures import spherical_log_likelihood
-from .selection import (SelectionTrace, SlopeEstimate, estimate_slope_ddse,
-                        penalty_gmm_full, penalty_spherical, select_k)
-from .tclust import ClusterFit, TrimSpec, allocate_all, trimmed_kmeans
+from .selection import (SelectionTrace, SlopeEstimate, SlopeEstimationError,
+                        estimate_slope_ddse, penalty_gmm_full,
+                        penalty_spherical, select_k)
+from .tclust import (ClusterFit, TrimSpec, allocate_all, seed_int,
+                     trimmed_kmeans)
 
 _CIVT_MAGIC = b"CIVT"
 _CIVL_MAGIC = b"CIVL"
@@ -46,6 +48,10 @@ PALETTE = np.array([
     (128, 0, 128), (60, 179, 113), (255, 99, 71), (70, 130, 180),
     (255, 215, 0), (139, 69, 19), (0, 206, 209), (255, 105, 180),
 ], dtype=np.uint8)
+
+
+class FallbackWarning(UserWarning):
+    """A run setting the data cannot support was replaced by a smaller one."""
 
 
 @dataclass
@@ -368,20 +374,17 @@ class TwoStageResult:
     stats: ColumnStats | None        # None when normalization was off
 
 
-def _seed_int(seq: np.random.SeedSequence) -> int:
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
 def run_two_stage(vol: VolumeSeries, cfg: RunConfig) -> TwoStageResult:
     """Filter, sweep cluster counts, select k, and allocate every voxel.
 
-    Degenerate volumes are handled conservatively: the trim level drops to
-    zero whenever the retained count would fall below k, the cluster count
-    is capped at n, and normalization is skipped when fewer than two
-    series are present.
+    Degenerate volumes are handled conservatively, with a FallbackWarning
+    each time: the cluster count is capped at n, the trim level drops to
+    zero whenever the retained count would fall below k, and normalization
+    is skipped when fewer than two series are present.
 
     Raises SlopeEstimationError (with the completed sweep attached as
-    ``exc.trace``) when the loss-penalty slope is nonpositive.
+    ``exc.trace``) when the loss-penalty slope is nonpositive; when some
+    candidates were capped at n, its message names them.
     """
     Z = vol.series
     if cfg.detrend:
@@ -393,7 +396,8 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig) -> TwoStageResult:
     stats = None
     if cfg.normalize:
         if coefs.n < 2:
-            warnings.warn("fewer than two series: skipping column normalization")
+            warnings.warn("fewer than two series: skipping column normalization",
+                          FallbackWarning)
         else:
             coefs, stats = normalize_columns(coefs)
 
@@ -402,15 +406,24 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig) -> TwoStageResult:
     k_seqs = np.random.SeedSequence(cfg.seed).spawn(len(cfg.k_set))
     trace = SelectionTrace(n_points=n)
     fits: dict[int, ClusterFit] = {}
+    capped = []
     for k, seq in zip(sorted(cfg.k_set), k_seqs):
         k_eff = min(k, n)
+        if k_eff < k:
+            capped.append(k)
+            warnings.warn(f"k={k} exceeds the {n} voxels: fitting {n} clusters",
+                          FallbackWarning)
         trim = TrimSpec(cfg.alpha)
-        if trim.retained_count(n) < k_eff:
+        h = trim.retained_count(n)
+        if h < k_eff:
+            warnings.warn(f"k={k}: alpha={cfg.alpha} keeps {h} of {n} voxels, "
+                          f"fewer than {k_eff} clusters: fitting with alpha=0",
+                          FallbackWarning)
             trim = TrimSpec(0.0)
         t0 = time.perf_counter()
         fit = trimmed_kmeans(coefs.values, k_eff, trim,
                              restarts=cfg.restarts, max_iter=cfg.max_iter,
-                             seed=_seed_int(seq), scale=cfg.lam)
+                             seed=seed_int(seq), scale=cfg.lam)
         loglik = spherical_log_likelihood(coefs.values, fit.model)
         trace.add(k, loglik, pen_fn(k), time.perf_counter() - t0)
         fits[k] = fit
@@ -421,6 +434,18 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig) -> TwoStageResult:
     else:
         try:
             slope = estimate_slope_ddse(trace)
+        except SlopeEstimationError as exc:
+            if not capped:
+                exc.trace = trace
+                raise
+            # the capped candidates repeat the k=n loss and flatten the tail;
+            # more candidates would only add to that
+            err = SlopeEstimationError(
+                f"loss-penalty slope unusable: candidates {capped} exceed the "
+                f"{n} voxels and repeat the k={n} loss; remove them from the "
+                "candidate set", exc.diagnostics)
+            err.trace = trace
+            raise err from exc
         except Exception as exc:
             exc.trace = trace
             raise

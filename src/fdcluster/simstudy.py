@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis import TimeGrid, design_matrix, make_bspline_system, ols_fit
 from .mixtures import bayes_allocate, fit_gmm_em
-from .tclust import TrimSpec, allocate_all, trimmed_kmeans
+from .tclust import TrimSpec, allocate_all, seed_int, trimmed_kmeans
 
 DEFAULT_METHODS = ("gmm", "kmeans", "trimmed:0.25", "trimmed:0.5")
 
@@ -185,10 +185,6 @@ def _parse_method(spec: str) -> tuple[str, float]:
     raise ValueError(f"unknown method {spec!r}")
 
 
-def _seed_int(seq: np.random.SeedSequence) -> int:
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
 def run_study(study: str, grid_cells, replicates: int,
               methods=DEFAULT_METHODS, seed: int = 0,
               restarts: int = 20, em_restarts: int = 5,
@@ -217,9 +213,9 @@ def run_study(study: str, grid_cells, replicates: int,
         for rep_seq in rep_seqs:
             sim_seq, fit_seq = rep_seq.spawn(2)
             if base_config is None:
-                cfg = SimConfig(study=study, n=n, m=m, seed=_seed_int(sim_seq))
+                cfg = SimConfig(study=study, n=n, m=m, seed=seed_int(sim_seq))
             else:
-                cfg = SimConfig(study=study, n=n, m=m, seed=_seed_int(sim_seq),
+                cfg = SimConfig(study=study, n=n, m=m, seed=seed_int(sim_seq),
                                 k_true=base_config.k_true, d_gen=base_config.d_gen,
                                 sigma=base_config.sigma, diag_sd=base_config.diag_sd,
                                 off_diag_sd=base_config.off_diag_sd,
@@ -236,14 +232,14 @@ def run_study(study: str, grid_cells, replicates: int,
                     best = None
                     for sub in mseq.spawn(em_restarts):
                         params, hist = fit_gmm_em(coefs, cfg.k_true,
-                                                  seed=_seed_int(sub),
+                                                  seed=seed_int(sub),
                                                   full_output=True)
                         if best is None or hist[-1] > best[0]:
                             best = (hist[-1], params)
                     labels = bayes_allocate(coefs, best[1])
                 else:
                     fit = trimmed_kmeans(coefs, cfg.k_true, TrimSpec(alpha),
-                                         restarts=restarts, seed=_seed_int(mseq))
+                                         restarts=restarts, seed=seed_int(mseq))
                     labels = allocate_all(coefs, fit)
                 seconds[spec] += time.perf_counter() - t0
                 aris[spec].append(adjusted_rand_index(labels, data.labels))

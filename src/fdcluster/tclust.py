@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import coef_values
-from .mixtures import MeanModel, _sq_distances, kmeans_allocate
+from .mixtures import MeanModel, kmeans_allocate, nearest_mean
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,10 @@ class TrimSpec:
 
 @dataclass
 class TclustState:
-    """One iterate: updated means, retained set, split, and objective."""
+    """The retained set of one concentration step and its split."""
 
-    iteration: int
-    means: np.ndarray            # (k, d) means after the update
     retained_idx: np.ndarray     # (h,) ascending point indices kept
     retained_labels: np.ndarray  # (h,) 1-based cluster of each retained point
-    objective: float             # tclust_objective at the updated means
 
 
 @dataclass
@@ -84,16 +81,22 @@ def component_log_score(u: np.ndarray, model: MeanModel, c: int) -> float:
 
 def _best_scores(U: np.ndarray, model: MeanModel):
     """Per-point best log-score and its achieving 1-based component."""
-    d2 = _sq_distances(U, model.means)
-    labels = np.argmin(d2, axis=1)
-    best = _log_score_const(model) - d2[np.arange(U.shape[0]), labels] / (2.0 * model.scale)
-    return best, labels + 1
+    labels, d2 = nearest_mean(U, model.means)
+    return _log_score_const(model) - d2 / (2.0 * model.scale), labels + 1
 
 
 def _retain(scores: np.ndarray, h: int) -> np.ndarray:
-    """Indices of the h largest scores; boundary ties toward lower index."""
-    order = np.argsort(-scores, kind="stable")
-    return np.sort(order[:h])
+    """Ascending indices of the h largest scores; boundary ties toward lower index.
+
+    Every score above the h-th largest is kept, then the lowest-index scores
+    equal to it until h are kept.
+    """
+    n = scores.size
+    cut = np.partition(scores, n - h)[n - h]
+    keep = scores > cut
+    ties = np.flatnonzero(scores == cut)
+    keep[ties[:h - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def tclust_objective(U, model: MeanModel, trim: TrimSpec) -> float:
@@ -130,28 +133,27 @@ def tclust_step(U, model: MeanModel, trim: TrimSpec) -> tuple[MeanModel, TclustS
     kept = _retain(scores, h)
     kept_labels = labels_all[kept]
 
+    # one stable sort (a radix sort on the small label type) lays out each
+    # cluster's members contiguously and in ascending index order: each sum
+    # adds its rows in the order U[members].mean(axis=0) does, and the
+    # division rounds the same
+    counts = np.bincount(kept_labels, minlength=model.k + 1)[1:]
+    small = kept_labels.astype(np.min_scalar_type(model.k))
+    members = kept[np.argsort(small, kind="stable")]
+    ends = np.cumsum(counts)
+    filled = np.flatnonzero(counts)
     new_means = np.empty_like(model.means)
-    empty = []
-    for c in range(model.k):
-        members = kept[kept_labels == c + 1]
-        if members.size == 0:
-            empty.append(c)
-        else:
-            new_means[c] = U[members].mean(axis=0)
-    if empty:
+    for c in filled:
+        new_means[c] = U[members[ends[c] - counts[c]:ends[c]]].sum(axis=0)
+    new_means[filled] /= counts[filled, None]
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
         worst_first = kept[np.argsort(scores[kept], kind="stable")]
         for slot, c in enumerate(empty):
             new_means[c] = U[worst_first[slot % h]]
 
     updated = MeanModel(new_means, model.scale, model.alpha)
-    state = TclustState(
-        iteration=0,
-        means=updated.means,
-        retained_idx=kept,
-        retained_labels=kept_labels,
-        objective=tclust_objective(U, updated, trim),
-    )
-    return updated, state
+    return updated, TclustState(retained_idx=kept, retained_labels=kept_labels)
 
 
 def _classify(U: np.ndarray, model: MeanModel, h: int):
@@ -162,7 +164,12 @@ def _classify(U: np.ndarray, model: MeanModel, h: int):
     trimmed = np.ones(n, dtype=bool)
     trimmed[kept] = False
     objective = float(np.sum(scores[kept])) / n
-    return labels, trimmed, objective, kept
+    return labels, trimmed, objective
+
+
+def seed_int(seq: np.random.SeedSequence) -> int:
+    """An integer seed drawn from a SeedSequence, for APIs that take an int."""
+    return int(seq.generate_state(1, np.uint64)[0])
 
 
 def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,
@@ -221,7 +228,7 @@ def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,
             prev_kept = state.retained_idx
             prev_labels = state.retained_labels
 
-        labels, trimmed, objective, _ = _classify(U, model, h)
+        labels, trimmed, objective = _classify(U, model, h)
         if best is None or objective > best[0]:
             best = (objective, model, labels, trimmed, iterations, r)
 

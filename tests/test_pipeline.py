@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from fdcluster.basis import CoefSet, TimeGrid, design_matrix, make_bspline_system
-from fdcluster.pipeline import (ClusterVolume, MeanFunctions, RunConfig,
-                                VolumeSeries, export_cluster_map,
+from fdcluster.pipeline import (ClusterVolume, FallbackWarning, MeanFunctions,
+                                RunConfig, VolumeSeries, export_cluster_map,
                                 export_mean_functions, load_labels_civl,
                                 load_volume, normalize_columns, render_slice,
                                 run_two_stage, save_labels_civl,
                                 save_volume_civt)
+from fdcluster.selection import SlopeEstimationError
 
 
 def blocked_volume(nx=6, ny=5, nz=3, m=80, noise=0.4, seed=3):
@@ -285,6 +286,22 @@ class TestRunTwoStage:
             result = run_two_stage(vol, cfg)
         assert result.cluster_volume.labels.tolist() == [1]
         assert result.slope is None
+
+    def test_capped_candidates_warn_and_name_the_cause(self):
+        # 12 voxels, k up to 16 at alpha 0.5: k >= 7 keeps fewer points than
+        # clusters (alpha drops to 0) and k >= 13 is capped at 12, whose
+        # repeated loss flattens the slope window
+        vol, _ = blocked_volume(nx=2, ny=2, nz=3)
+        cfg = RunConfig(d=8, k_set=range(2, 17), alpha=0.5, restarts=2, seed=0)
+        with pytest.warns(FallbackWarning) as record:
+            with pytest.raises(SlopeEstimationError,
+                               match=r"candidates \[13, 14, 15, 16\] exceed the 12 voxels") as err:
+                run_two_stage(vol, cfg)
+        messages = [str(w.message) for w in record if w.category is FallbackWarning]
+        assert sum("exceeds the 12 voxels" in m for m in messages) == 4
+        assert sum("fitting with alpha=0" in m for m in messages) == 10
+        assert "extend the candidate set" not in str(err.value)
+        assert err.value.trace.k_values == list(range(2, 17))
 
     def test_normalization_neutrality_for_mean_curves(self):
         # de-normalized cluster means reconstruct the same curves as the
