@@ -43,11 +43,7 @@ class TimeGrid:
     def uniform(cls, t_lo: float, t_hi: float, m: int) -> "TimeGrid":
         if m < 1:
             raise ValueError("m must be positive")
-        if m == 1:
-            pts = np.array([t_lo], dtype=float)
-        else:
-            pts = np.linspace(t_lo, t_hi, m)
-        return cls(points=pts, t_lo=float(t_lo), t_hi=float(t_hi))
+        return cls(points=np.linspace(t_lo, t_hi, m), t_lo=float(t_lo), t_hi=float(t_hi))
 
     @property
     def m(self) -> int:
@@ -128,10 +124,11 @@ def _basis_columns(system: BasisSystem, t: np.ndarray):
 
 
 def evaluate_basis(system: BasisSystem, t) -> np.ndarray:
-    """Evaluate all d basis functions at scalar time t.
+    """Evaluate all d basis functions at time t (a scalar or an array).
 
-    Returns a d-vector with at most ORDER nonzero entries; entries are
-    nonnegative and sum to one.
+    Returns a d-vector for a scalar t and one row per point otherwise; each
+    row has at most ORDER nonzero entries, nonnegative and summing to one.
+    This is the one place that scatters the values of `_basis_columns`.
     """
     tarr = np.atleast_1d(np.asarray(t, dtype=float))
     spans, values = _basis_columns(system, tarr)
@@ -192,11 +189,7 @@ def design_matrix(system: BasisSystem, grid: TimeGrid) -> DesignMatrix:
     The factorization is computed once per grid and shared by all series
     fitted against it.
     """
-    spans, values = _basis_columns(system, grid.points)
-    X = np.zeros((grid.m, system.d))
-    cols = spans[:, None] + np.arange(-(ORDER - 1), 1)[None, :]
-    np.put_along_axis(X, cols, values, axis=1)
-    return DesignMatrix.from_matrix(X)
+    return DesignMatrix.from_matrix(evaluate_basis(system, grid.points))
 
 
 def ols_fit(design: DesignMatrix, z: np.ndarray) -> np.ndarray:
@@ -250,16 +243,9 @@ def reconstruct(system: BasisSystem, b: np.ndarray, t) -> float | np.ndarray:
 
 @dataclass
 class CoefSet:
-    """n x d matrix of per-series basis coefficients plus normalization state.
-
-    `col_means`/`col_sds` are the statistics used to z-score each column,
-    or None when the coefficients are raw. Zero-variance columns are
-    recorded with scale 1 so de-normalization is always well defined.
-    """
+    """n x d matrix of per-series basis coefficients, all finite."""
 
     values: np.ndarray
-    col_means: np.ndarray | None = None
-    col_sds: np.ndarray | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -277,10 +263,6 @@ class CoefSet:
     def d(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def normalized(self) -> bool:
-        return self.col_means is not None
-
 
 def coef_values(B) -> np.ndarray:
     """Accept a CoefSet or a plain (n, d) array and return the array."""
@@ -291,7 +273,3 @@ def coef_values(B) -> np.ndarray:
         raise ValueError("expected an n x d coefficient matrix")
     return arr
 
-
-def filter_series(design: DesignMatrix, Z: np.ndarray) -> CoefSet:
-    """Stage-1 filter: OLS coefficients for every series against one design."""
-    return CoefSet(values=ols_fit(design, np.atleast_2d(np.asarray(Z, float))))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,13 +21,11 @@ import numpy as np
 from .pipeline import (RunConfig, export_cluster_map, export_mean_functions,
                        load_labels_civl, load_volume, render_slice,
                        run_two_stage)
-from .selection import (SelectionTrace, SlopeEstimationError,
-                        estimate_slope_ddse, penalty_gmm_full,
-                        penalty_spherical, select_k)
+from .selection import (PENALTIES, SelectionTrace, SlopeEstimationError,
+                        estimate_slope_ddse, select_k)
 from .simstudy import DEFAULT_METHODS, adjusted_rand_index, run_study
 
-CONFIG_FIELDS = ("d", "lam", "alpha", "k_set", "restarts", "max_iter",
-                 "seed", "detrend", "normalize", "penalty")
+CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 
 def _parse_k_set(text: str):
@@ -37,8 +36,10 @@ def _parse_k_set(text: str):
         if not part:
             continue
         if ".." in part:
-            lo, hi = part.split("..", 1)
-            ks.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in part.split("..", 1))
+            if lo > hi:
+                raise ValueError(f"descending range {part!r} in k set")
+            ks.extend(range(lo, hi + 1))
         else:
             ks.append(int(part))
     if not ks:
@@ -96,8 +97,6 @@ def _build_run_config(args) -> RunConfig:
             values[name] = value
     if args.k_set is not None:
         values["k_set"] = _parse_k_set(args.k_set)
-    elif "k_set" in values:
-        values["k_set"] = tuple(values["k_set"])
     if args.no_detrend:
         values["detrend"] = False
     if args.no_normalize:
@@ -159,7 +158,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_select(args) -> int:
     trace = SelectionTrace.read_csv(args.trace, n_points=args.n)
-    pen = (penalty_spherical if args.penalty == "spherical" else penalty_gmm_full)
+    pen = PENALTIES[args.penalty]
     rebuilt = SelectionTrace(n_points=trace.n_points)
     for k, loglik, _, seconds in trace.records:
         rebuilt.add(k, loglik, pen(k, args.d), seconds)
@@ -208,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", dest="max_iter", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--lambda", type=float, dest="lambda")
-    p.add_argument("--penalty", choices=("spherical", "full"))
+    p.add_argument("--penalty", choices=tuple(PENALTIES))
     p.add_argument("--no-detrend", action="store_true")
     p.add_argument("--no-normalize", action="store_true")
     p.add_argument("--out", required=True)
@@ -226,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="re-run model selection from a sweep CSV")
     p.add_argument("--trace", required=True)
-    p.add_argument("--penalty", choices=("spherical", "full"), required=True)
+    p.add_argument("--penalty", choices=tuple(PENALTIES), required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--kappa", type=float)
     p.add_argument("--n", type=int, help="points behind the sweep (needed with --kappa)")

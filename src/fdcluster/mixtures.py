@@ -1,9 +1,9 @@
 """Gaussian mixture densities over coefficient vectors and allocation rules.
 
-Holds the full-covariance mixture parameters, the simplified spherical
-log-likelihood used to score mean models, the Bayes and nearest-mean
-allocation rules, and a baseline EM fitter for the full-covariance mixture.
-All labels returned by allocation functions are 1-based (clusters 1..k).
+Holds the full-covariance mixture parameters and their one Gaussian
+density kernel, the simplified spherical log-likelihood used to score mean
+models, and the Bayes and nearest-mean allocation rules. All labels
+returned by allocation functions are 1-based (clusters 1..k).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class GmmParams:
 
 @dataclass
 class MeanModel:
-    """Spherical mean model: k component means, shared scale, trim level.
+    """Spherical mean model: k component means and a shared scale.
 
     Finalized models keep their means in lexicographic row order so that
     labels are comparable across runs; intermediate iterates need not be
@@ -66,14 +66,11 @@ class MeanModel:
 
     means: np.ndarray        # (k, d)
     scale: float = 1.0       # shared spherical variance (lambda)
-    alpha: float = 0.0       # trim fraction the model was fitted with
 
     def __post_init__(self):
         self.means = np.atleast_2d(np.asarray(self.means, dtype=float))
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError("alpha must lie in [0, 1)")
 
     @property
     def k(self) -> int:
@@ -83,6 +80,11 @@ class MeanModel:
     def d(self) -> int:
         return self.means.shape[1]
 
+    @property
+    def log_score_const(self) -> float:
+        """log of (1/k) (2 pi scale)^(-d/2), shared by every component's log-score."""
+        return -math.log(self.k) - 0.5 * self.d * math.log(2.0 * math.pi * self.scale)
+
     def finalized(self) -> tuple["MeanModel", np.ndarray]:
         """Copy with rows sorted lexicographically, plus the row permutation.
 
@@ -90,27 +92,11 @@ class MeanModel:
         """
         order = np.lexsort(self.means.T[::-1])
         sorted_means = self.means[order]
-        return MeanModel(sorted_means, self.scale, self.alpha), order
+        return MeanModel(sorted_means, self.scale), order
 
 
-def gaussian_log_density(b: np.ndarray, mu: np.ndarray, V: np.ndarray) -> float:
-    """Log of the multivariate Gaussian density via a Cholesky factorization."""
-    b = np.asarray(b, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    d = mu.size
-    try:
-        L = np.linalg.cholesky(V)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance is not positive definite") from exc
-    diff = b - mu
-    y = solve_triangular(L, diff, lower=True)
-    logdet = 2.0 * np.sum(np.log(np.diag(L)))
-    return float(-0.5 * (d * LOG_2PI + logdet + y @ y))
-
-
-def _component_log_densities(B: np.ndarray, params: GmmParams) -> np.ndarray:
-    """(n, k) matrix of log pi_c + log N(b_i; mu_c, V_c)."""
+def component_log_densities(B: np.ndarray, params: GmmParams) -> np.ndarray:
+    """(n, k) matrix of log pi_c + log N(b_i; mu_c, V_c), via Cholesky factors."""
     n, d = B.shape
     out = np.empty((n, params.k))
     for c in range(params.k):
@@ -126,10 +112,18 @@ def _component_log_densities(B: np.ndarray, params: GmmParams) -> np.ndarray:
     return out
 
 
+def gaussian_log_density(b: np.ndarray, mu: np.ndarray, V: np.ndarray) -> float:
+    """Log of the multivariate Gaussian density N(b; mu, V)."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    b = np.asarray(b, dtype=float).reshape(1, mu.size)
+    V = np.asarray(V, dtype=float).reshape(1, mu.size, mu.size)
+    return float(component_log_densities(b, GmmParams([1.0], mu, V))[0, 0])
+
+
 def mixture_log_density(b: np.ndarray, params: GmmParams) -> float:
     """log sum_c pi_c N(b; mu_c, V_c), stabilized with log-sum-exp."""
     b = np.asarray(b, dtype=float)
-    scores = _component_log_densities(b[None, :], params)
+    scores = component_log_densities(b[None, :], params)
     return float(logsumexp(scores[0]))
 
 
@@ -209,8 +203,7 @@ def spherical_log_likelihood(B, model: MeanModel) -> float:
         raise ValueError("empty coefficient set")
     if U.shape[1] != model.d:
         raise ValueError("dimension mismatch between coefficients and means")
-    k, d, lam = model.k, model.d, model.scale
-    const = -math.log(k) - 0.5 * d * math.log(2.0 * math.pi * lam)
+    const, lam = model.log_score_const, model.scale
     partials = []
     for lo in range(0, U.shape[0], _CHUNK):
         chunk = U[lo:lo + _CHUNK]
@@ -230,7 +223,7 @@ def bayes_allocate(b, params: GmmParams):
     B = np.atleast_2d(arr)
     labels = np.empty(B.shape[0], dtype=np.int64)
     for lo in range(0, B.shape[0], _CHUNK):
-        scores = _component_log_densities(B[lo:lo + _CHUNK], params)
+        scores = component_log_densities(B[lo:lo + _CHUNK], params)
         labels[lo:lo + _CHUNK] = np.argmax(scores, axis=1) + 1
     return int(labels[0]) if single else labels
 
@@ -240,76 +233,3 @@ def kmeans_allocate(b, model: MeanModel):
     arr = np.asarray(b, dtype=float)
     labels = nearest_mean(np.atleast_2d(arr), model.means)[0] + 1
     return int(labels[0]) if arr.ndim == 1 else labels
-
-
-def _em_loglik(B: np.ndarray, params: GmmParams) -> tuple[float, np.ndarray]:
-    """Sample log-likelihood plus the (n, k) joint log-density matrix."""
-    scores = _component_log_densities(B, params)
-    row_lse = logsumexp(scores, axis=1)
-    return float(np.sum(row_lse)), scores - row_lse[:, None]
-
-
-def fit_gmm_em(B, k: int, seed: int = 0, max_iter: int = 200,
-               ridge: float | None = None, full_output: bool = False):
-    """Fit a full-covariance k-component mixture by EM.
-
-    Initialization comes from one untrimmed k-means run on the data. Each
-    M-step adds ridge * I to every covariance (default ridge: 1e-6 times
-    the mean diagonal of the pooled covariance), which keeps the updates
-    positive definite. Iterations stop at `max_iter` or when the
-    log-likelihood gain falls below 1e-6 * n. The log-likelihood sequence
-    is checked to be nondecreasing (1e-8 relative slack).
-
-    Returns GmmParams, or (GmmParams, loglik_history) when `full_output`.
-    """
-    U = coef_values(B)
-    n, d = U.shape
-    if k >= n:
-        raise ValueError("need more points than components")
-    pooled = np.cov(U, rowvar=False, bias=True).reshape(d, d)
-    mean_diag = float(np.mean(np.diag(pooled)))
-    if mean_diag <= 0:
-        raise ValueError("degenerate data: zero pooled variance")
-    if ridge is None:
-        ridge = 1e-6 * mean_diag
-
-    from .tclust import TrimSpec, trimmed_kmeans
-
-    init = trimmed_kmeans(U, k, TrimSpec(0.0), restarts=1, max_iter=20, seed=seed)
-    means = init.model.means.copy()
-    weights = np.empty(k)
-    covs = np.empty((k, d, d))
-    eye = np.eye(d)
-    for c in range(k):
-        members = U[init.labels == c + 1]
-        weights[c] = max(members.shape[0], 1) / n
-        if members.shape[0] >= 2:
-            covs[c] = np.cov(members, rowvar=False, bias=True) + ridge * eye
-        else:
-            covs[c] = pooled + ridge * eye
-    weights /= weights.sum()
-    params = GmmParams(weights, means, covs)
-
-    history = []
-    prev_ll = -np.inf
-    for _ in range(max_iter):
-        ll, log_resp = _em_loglik(U, params)
-        history.append(ll)
-        if ll + 1e-8 * (1.0 + abs(ll)) < prev_ll:
-            raise RuntimeError("EM log-likelihood decreased")
-        if ll - prev_ll < 1e-6 * n:
-            break
-        prev_ll = ll
-        resp = np.exp(log_resp)                     # (n, k)
-        counts = resp.sum(axis=0)
-        counts = np.maximum(counts, 1e-300)
-        weights = counts / n
-        means = (resp.T @ U) / counts[:, None]
-        for c in range(k):
-            diff = U - means[c]
-            covs[c] = (diff.T * resp[:, c]) @ diff / counts[c] + ridge * eye
-            covs[c] = 0.5 * (covs[c] + covs[c].T)
-        params = GmmParams(weights / weights.sum(), means, covs)
-
-    hist = np.asarray(history)
-    return (params, hist) if full_output else params

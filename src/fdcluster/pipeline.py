@@ -20,6 +20,7 @@ File formats (little-endian throughout):
 from __future__ import annotations
 
 import csv
+import numbers
 import struct
 import time
 import warnings
@@ -30,9 +31,8 @@ import numpy as np
 from .basis import (CoefSet, TimeGrid, design_matrix, detrend,
                     make_bspline_system, ols_fit)
 from .mixtures import spherical_log_likelihood
-from .selection import (SelectionTrace, SlopeEstimate, SlopeEstimationError,
-                        estimate_slope_ddse, penalty_gmm_full,
-                        penalty_spherical, select_k)
+from .selection import (PENALTIES, SelectionTrace, SlopeEstimate,
+                        SlopeEstimationError, estimate_slope_ddse, select_k)
 from .tclust import (ClusterFit, TrimSpec, allocate_all, seed_int,
                      trimmed_kmeans)
 
@@ -85,6 +85,11 @@ class VolumeSeries:
         return self.series.shape[1]
 
 
+def _is_integer(value) -> bool:
+    """An integer that is not a bool (JSON true would otherwise pass as 1)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     """Knobs for one end-to-end run; mirrored by the JSON config file."""
@@ -98,10 +103,28 @@ class RunConfig:
     seed: int = 0
     detrend: bool = True
     normalize: bool = True
-    penalty: str = "spherical"   # "spherical" or "full"
+    penalty: str = "spherical"   # a key of selection.PENALTIES
 
     def __post_init__(self):
-        self.k_set = tuple(int(k) for k in self.k_set)
+        # values read from a JSON file arrive unchecked: "false" is truthy
+        # and "8" does not compare with 4, so types are checked first
+        for name in ("detrend", "normalize"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false")
+        for name in ("d", "restarts", "max_iter", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
+        for name in ("lam", "alpha"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number")
+        try:
+            entries = tuple(self.k_set)
+        except TypeError:
+            raise ValueError("k_set must be a list of integers") from None
+        if not all(_is_integer(k) for k in entries):
+            raise ValueError("k_set must be a list of integers")
+        self.k_set = tuple(int(k) for k in entries)
         if not self.k_set or any(k < 1 for k in self.k_set):
             raise ValueError("k_set must be a nonempty set of positive counts")
         if len(set(self.k_set)) != len(self.k_set):
@@ -110,13 +133,8 @@ class RunConfig:
             raise ValueError("alpha must lie in [0, 1)")
         if self.d < 4 or self.restarts < 1 or self.max_iter < 1:
             raise ValueError("d, restarts, max_iter must be positive (d >= 4)")
-        if self.penalty not in ("spherical", "full"):
-            raise ValueError("penalty must be 'spherical' or 'full'")
-
-    def penalty_fn(self):
-        if self.penalty == "spherical":
-            return lambda k: penalty_spherical(k, self.d)
-        return lambda k: penalty_gmm_full(k, self.d)
+        if not isinstance(self.penalty, str) or self.penalty not in PENALTIES:
+            raise ValueError(f"penalty must be one of {', '.join(PENALTIES)}")
 
 
 @dataclass
@@ -135,10 +153,11 @@ class ClusterVolume:
         self.trimmed = np.asarray(self.trimmed, dtype=bool)
         if self.labels.shape != (n,) or self.trimmed.shape != (n,):
             raise ValueError("labels/trimmed do not match the volume dims")
-        if self.labels.min() < 1 or self.labels.max() > self.k:
-            raise ValueError(f"labels must lie in 1..{self.k}")
+        self.validate()
 
     def validate(self) -> None:
+        """Check the label range; the writers call it again, as the labels
+        array can change after construction."""
         if self.labels.min() < 1 or self.labels.max() > self.k:
             raise ValueError(f"labels must lie in 1..{self.k}")
 
@@ -181,7 +200,7 @@ def normalize_columns(B: CoefSet) -> tuple[CoefSet, ColumnStats]:
     sds = np.where(sds == 0.0, 1.0, sds)
     normalized = (values - means) / sds
     stats = ColumnStats(means=means, sds=sds)
-    return CoefSet(values=normalized, col_means=means, col_sds=sds), stats
+    return CoefSet(values=normalized), stats
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +421,7 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig) -> TwoStageResult:
             coefs, stats = normalize_columns(coefs)
 
     n = coefs.n
-    pen_fn = cfg.penalty_fn()
+    pen = PENALTIES[cfg.penalty]
     k_seqs = np.random.SeedSequence(cfg.seed).spawn(len(cfg.k_set))
     trace = SelectionTrace(n_points=n)
     fits: dict[int, ClusterFit] = {}
@@ -425,7 +444,7 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig) -> TwoStageResult:
                              restarts=cfg.restarts, max_iter=cfg.max_iter,
                              seed=seed_int(seq), scale=cfg.lam)
         loglik = spherical_log_likelihood(coefs.values, fit.model)
-        trace.add(k, loglik, pen_fn(k), time.perf_counter() - t0)
+        trace.add(k, loglik, pen(k, cfg.d), time.perf_counter() - t0)
         fits[k] = fit
 
     slope = None

@@ -100,6 +100,11 @@ def penalty_gmm_full(k: int, d: int) -> float:
     return (d * d / 2.0 + 1.5 * d + 1.0) * k - 1.0
 
 
+# The penalties by name: the one table behind the run config, the sweep and
+# the CLI's --penalty choices.
+PENALTIES = {"spherical": penalty_spherical, "full": penalty_gmm_full}
+
+
 def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
     xc = x - x.mean()
     denom = float(xc @ xc)
@@ -169,17 +174,12 @@ def estimate_slope_ddse(trace: SelectionTrace) -> SlopeEstimate:
                          diagnostics=diagnostics)
 
 
-def select_k(trace: SelectionTrace, kappa: float, pen=None) -> int:
-    """k minimizing loss(k) + 2 * kappa * pen(k); ties toward smaller k.
-
-    `pen` is an optional callable k -> penalty; the trace's stored penalty
-    column is used when it is omitted.
-    """
+def select_k(trace: SelectionTrace, kappa: float) -> int:
+    """k minimizing loss(k) + 2 * kappa * pen(k) over the trace's stored
+    penalty column; ties toward smaller k."""
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     if not trace.records:
         raise ValueError("empty trace")
-    loss = trace.loss()
-    pens = np.array([pen(k) for k in trace.k_values]) if pen is not None else trace.pens()
-    criterion = loss + 2.0 * kappa * pens
+    criterion = trace.loss() + 2.0 * kappa * trace.pens()
     return trace.k_values[int(np.argmin(criterion))]

@@ -39,14 +39,6 @@ class TrimSpec:
 
 
 @dataclass
-class TclustState:
-    """The retained set of one concentration step and its split."""
-
-    retained_idx: np.ndarray     # (h,) ascending point indices kept
-    retained_labels: np.ndarray  # (h,) 1-based cluster of each retained point
-
-
-@dataclass
 class ClusterFit:
     """Final fitted model with per-point labels and trim flags.
 
@@ -67,22 +59,18 @@ class ClusterFit:
         return self.model.k
 
 
-def _log_score_const(model: MeanModel) -> float:
-    return -math.log(model.k) - 0.5 * model.d * math.log(2.0 * math.pi * model.scale)
-
-
 def component_log_score(u: np.ndarray, model: MeanModel, c: int) -> float:
     """log of (1/k) N(u; mu_c, scale * I) for the 1-based component c."""
     if not 1 <= c <= model.k:
         raise ValueError(f"component {c} outside 1..{model.k}")
     diff = np.asarray(u, dtype=float) - model.means[c - 1]
-    return _log_score_const(model) - float(diff @ diff) / (2.0 * model.scale)
+    return model.log_score_const - float(diff @ diff) / (2.0 * model.scale)
 
 
 def _best_scores(U: np.ndarray, model: MeanModel):
     """Per-point best log-score and its achieving 1-based component."""
     labels, d2 = nearest_mean(U, model.means)
-    return _log_score_const(model) - d2 / (2.0 * model.scale), labels + 1
+    return model.log_score_const - d2 / (2.0 * model.scale), labels + 1
 
 
 def _retain(scores: np.ndarray, h: int) -> np.ndarray:
@@ -99,6 +87,17 @@ def _retain(scores: np.ndarray, h: int) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
+def _classify(U: np.ndarray, model: MeanModel, h: int):
+    """Nearest-mean labels of every point, trim flags, and the trimmed objective."""
+    n = U.shape[0]
+    scores, labels = _best_scores(U, model)
+    kept = _retain(scores, h)
+    trimmed = np.ones(n, dtype=bool)
+    trimmed[kept] = False
+    objective = float(np.sum(scores[kept])) / n
+    return labels, trimmed, objective
+
+
 def tclust_objective(U, model: MeanModel, trim: TrimSpec) -> float:
     """Average best-component log-score over the retained points.
 
@@ -107,21 +106,21 @@ def tclust_objective(U, model: MeanModel, trim: TrimSpec) -> float:
     n points.
     """
     U = coef_values(U)
-    n = U.shape[0]
-    h = trim.retained_count(n)
+    h = trim.retained_count(U.shape[0])
     if h < 1:
         raise ValueError("trim level leaves no points")
-    scores, _ = _best_scores(U, model)
-    kept = _retain(scores, h)
-    return float(np.sum(scores[kept])) / n
+    return _classify(U, model, h)[2]
 
 
-def tclust_step(U, model: MeanModel, trim: TrimSpec) -> tuple[MeanModel, TclustState]:
+def tclust_step(U, model: MeanModel,
+                trim: TrimSpec) -> tuple[MeanModel, np.ndarray, np.ndarray]:
     """One concentration step: retain, split by nearest mean, recenter.
 
-    Clusters left empty by the split are re-seeded at the worst-scoring
-    retained points (successively, in cluster order), which keeps the
-    update deterministic.
+    Returns the updated model, the ascending indices of the retained
+    points and their 1-based clusters; `trimmed_kmeans` stops when the
+    last two repeat. Clusters left empty by the split are re-seeded at the
+    worst-scoring retained points (successively, in cluster order), which
+    keeps the update deterministic.
     """
     U = coef_values(U)
     n, d = U.shape
@@ -152,19 +151,7 @@ def tclust_step(U, model: MeanModel, trim: TrimSpec) -> tuple[MeanModel, TclustS
         for slot, c in enumerate(empty):
             new_means[c] = U[worst_first[slot % h]]
 
-    updated = MeanModel(new_means, model.scale, model.alpha)
-    return updated, TclustState(retained_idx=kept, retained_labels=kept_labels)
-
-
-def _classify(U: np.ndarray, model: MeanModel, h: int):
-    """Final pass: labels for every point, trim flags, and the objective."""
-    n = U.shape[0]
-    scores, labels = _best_scores(U, model)
-    kept = _retain(scores, h)
-    trimmed = np.ones(n, dtype=bool)
-    trimmed[kept] = False
-    objective = float(np.sum(scores[kept])) / n
-    return labels, trimmed, objective
+    return MeanModel(new_means, model.scale), kept, kept_labels
 
 
 def seed_int(seq: np.random.SeedSequence) -> int:
@@ -213,20 +200,20 @@ def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,
         else:
             rng = np.random.default_rng(children[r])
             means0 = U[rng.choice(n, size=k, replace=False)].copy()
-        model = MeanModel(means0, scale, trim.alpha)
+        model = MeanModel(means0, scale)
 
         prev_kept = None
         prev_labels = None
         iterations = 0
         for _ in range(max_iter):
-            model, state = tclust_step(U, model, trim)
+            model, kept, kept_labels = tclust_step(U, model, trim)
             iterations += 1
             if (prev_kept is not None
-                    and np.array_equal(state.retained_idx, prev_kept)
-                    and np.array_equal(state.retained_labels, prev_labels)):
+                    and np.array_equal(kept, prev_kept)
+                    and np.array_equal(kept_labels, prev_labels)):
                 break
-            prev_kept = state.retained_idx
-            prev_labels = state.retained_labels
+            prev_kept = kept
+            prev_labels = kept_labels
 
         labels, trimmed, objective = _classify(U, model, h)
         if best is None or objective > best[0]:

@@ -3,8 +3,8 @@ import pytest
 from scipy.interpolate import BSpline
 
 from fdcluster.basis import (CoefSet, DesignMatrix, TimeGrid, design_matrix,
-                             detrend, evaluate_basis, filter_series,
-                             make_bspline_system, ols_fit, reconstruct)
+                             detrend, evaluate_basis, make_bspline_system,
+                             ols_fit, reconstruct)
 
 
 def scipy_basis(system, ts):
@@ -249,15 +249,6 @@ class TestCoefSet:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             CoefSet(values=np.array([[1.0, np.nan]]))
-
-    def test_filter_series_shape(self):
-        system = make_bspline_system((0.0, 1.0), 5)
-        grid = TimeGrid.uniform(0.0, 1.0, 20)
-        design = design_matrix(system, grid)
-        Z = np.random.default_rng(9).normal(size=(11, 20))
-        coefs = filter_series(design, Z)
-        assert (coefs.n, coefs.d) == (11, 5)
-        assert not coefs.normalized
 
 
 class TestTimeGrid:

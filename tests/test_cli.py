@@ -69,6 +69,35 @@ def test_fit_unknown_config_field_is_validation_error(tmp_path, blocked_civt):
     assert rc == 2
 
 
+@pytest.mark.parametrize("bad", [
+    {"detrend": "false"}, {"normalize": 0}, {"d": "8"}, {"d": 10.0},
+    {"restarts": 2.5}, {"max_iter": True}, {"seed": "1"}, {"k_set": [3.5]},
+    {"k_set": [True]}, {"k_set": 3}, {"lam": "0.1"}, {"alpha": None},
+    {"penalty": ["full"]},
+], ids=json.dumps)
+def test_fit_config_value_of_wrong_type_is_validation_error(tmp_path, blocked_civt,
+                                                            capsys, bad):
+    # a single candidate k: with the value taken as given the run succeeds
+    vol_path, _ = blocked_civt
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"d": 10, "k_set": [3], "restarts": 2, **bad}))
+    rc = main(["fit", "--input", str(vol_path), "--format", "civt",
+               "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert next(iter(bad)) in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_fit_descending_k_range_is_validation_error(tmp_path, blocked_civt, capsys):
+    vol_path, _ = blocked_civt
+    rc = main(["fit", "--input", str(vol_path), "--format", "civt",
+               "--d", "10", "--k-set", "3,9..5", "--restarts", "2",
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "'9..5'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_fit_missing_input_is_validation_error(tmp_path):
     rc = main(["fit", "--input", str(tmp_path / "absent.civt"),
                "--format", "civt", "--out", str(tmp_path / "o")])

@@ -1,0 +1,99 @@
+"""Module layout of the package: imports sit at module level, and the
+intra-package import graph has no cycle."""
+
+import ast
+from pathlib import Path
+
+import fdcluster
+
+PACKAGE = Path(fdcluster.__file__).parent
+MODULES = {path.stem: ast.parse(path.read_text(), filename=str(path))
+           for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _local_imports(tree):
+    """(line, text) of every import statement inside a function body."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    found.append((inner.lineno, ast.unparse(inner)))
+    return found
+
+
+def _package_imports(tree):
+    """Names of the package modules a module imports, wherever the import sits."""
+    targets = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module is None:
+                names = [alias.name for alias in node.names]   # from . import x
+            elif node.level == 1:
+                names = [node.module.split(".")[0]]
+            elif node.module and node.module.split(".")[0] == "fdcluster":
+                parts = node.module.split(".")
+                names = parts[1:2] or [alias.name for alias in node.names]
+            else:
+                names = []
+        elif isinstance(node, ast.Import):
+            names = [alias.name.split(".")[1] for alias in node.names
+                     if alias.name.startswith("fdcluster.")]
+        else:
+            continue
+        targets.update(name for name in names if name in MODULES)
+    return targets
+
+
+def _find_cycle(graph):
+    """One import cycle as a list of module names, or None."""
+    done, path = set(), []
+
+    def visit(name):
+        if name in path:
+            return path[path.index(name):] + [name]
+        if name in done:
+            return None
+        path.append(name)
+        for target in sorted(graph[name]):
+            cycle = visit(target)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(name)
+        return None
+
+    for name in sorted(graph):
+        cycle = visit(name)
+        if cycle:
+            return cycle
+    return None
+
+
+def test_modules_found():
+    assert {"basis", "mixtures", "tclust", "selection", "simstudy",
+            "pipeline", "cli"} <= set(MODULES)
+
+
+def test_no_import_inside_a_function():
+    local = {name: found for name, tree in MODULES.items()
+             if (found := _local_imports(tree))}
+    assert local == {}
+
+
+def test_import_graph_has_no_cycle():
+    graph = {name: _package_imports(tree) - {name} for name, tree in MODULES.items()}
+    assert _find_cycle(graph) is None
+
+
+def test_cycle_finder_reports_a_cycle():
+    graph = {"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": set()}
+    assert _find_cycle(graph) == ["a", "b", "c", "a"]
+    graph = {"a": {"b"}, "b": set(), "c": {"a", "b"}}
+    assert _find_cycle(graph) is None
+
+
+def test_function_local_import_is_an_edge():
+    tree = ast.parse("def f():\n    from .tclust import trimmed_kmeans\n")
+    assert _local_imports(tree) == [(2, "from .tclust import trimmed_kmeans")]
+    assert _package_imports(tree) == {"tclust"}

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import fdcluster.mixtures as mixtures
 from fdcluster.mixtures import (GmmParams, MeanModel, bayes_allocate,
-                                fit_gmm_em, gaussian_log_density,
-                                kmeans_allocate, mixture_log_density,
-                                spherical_log_likelihood)
+                                gaussian_log_density, kmeans_allocate,
+                                mixture_log_density, spherical_log_likelihood)
+from fdcluster.simstudy import fit_gmm_em
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -122,6 +126,40 @@ class TestSphericalLogLikelihood:
         a = spherical_log_likelihood(U, MeanModel(means))
         b = spherical_log_likelihood(U, MeanModel(means[::-1].copy()))
         assert b == pytest.approx(a, abs=1e-10)
+
+
+@st.composite
+def points_and_model(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4))
+    coords = st.floats(-50, 50, allow_nan=False)
+    U = draw(hnp.arrays(np.float64, (n, d), elements=coords))
+    means = draw(hnp.arrays(np.float64, (k, d), elements=coords))
+    scale = draw(st.floats(0.05, 20.0))
+    return U, MeanModel(means, scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(points_and_model(), st.sampled_from([1, 7, mixtures._CHUNK]))
+def test_log_likelihood_is_the_exact_sum_of_fixed_row_blocks(case, chunk):
+    """With any block size the total is math.fsum of the per-block totals,
+    so the blocks already summed do not change when rows are appended.
+
+    Across block sizes the totals agree only to rounding: each block is
+    summed by np.sum, and only the block totals are summed exactly.
+    """
+    U, model = case
+    n = U.shape[0]
+    rows = [spherical_log_likelihood(U[i:i + 1], model) for i in range(n)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mixtures, "_CHUNK", chunk)
+        total = spherical_log_likelihood(U, model)
+        blocks = [spherical_log_likelihood(U[lo:lo + chunk], model)
+                  for lo in range(0, n, chunk)]
+    assert total == math.fsum(blocks)
+    bound = (n + 2) * 2.0 ** -52 * math.fsum(abs(r) for r in rows)
+    assert abs(total - math.fsum(rows)) <= bound
 
 
 class TestAllocation:

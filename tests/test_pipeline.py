@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fdcluster.basis import CoefSet, TimeGrid, design_matrix, make_bspline_system
 from fdcluster.pipeline import (ClusterVolume, FallbackWarning, MeanFunctions,
@@ -111,6 +117,44 @@ class TestCivtRoundTrip:
             load_volume(path, "civt")
 
 
+DIMS = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(DIMS, st.integers(1, 6), st.data())
+def test_civt_round_trip_for_any_small_dims(dims, m, data):
+    n = dims[0] * dims[1] * dims[2]
+    series = data.draw(hnp.arrays(np.float32, (n, m),
+                                  elements=st.floats(-1e6, 1e6, width=32)))
+    t_lo = data.draw(st.floats(-1e3, 1e3))
+    grid = TimeGrid.uniform(t_lo, t_lo + data.draw(st.floats(1e-3, 1e3)), m)
+    vol = VolumeSeries(dims=dims, series=series, grid=grid)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vol.civt"
+        save_volume_civt(vol, path)
+        back = load_volume(path, "civt")
+    assert back.dims == dims
+    np.testing.assert_array_equal(back.series, vol.series)
+    assert (back.grid.t_lo, back.grid.t_hi) == (grid.t_lo, grid.t_hi)
+    np.testing.assert_array_equal(back.grid.points, grid.points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(DIMS, st.integers(1, 0xFFFF), st.data())
+def test_civl_round_trip_for_any_small_dims(dims, k, data):
+    n = dims[0] * dims[1] * dims[2]
+    labels = data.draw(hnp.arrays(np.int64, n, elements=st.integers(1, k)))
+    trimmed = data.draw(hnp.arrays(np.bool_, n))
+    cv = ClusterVolume(dims=dims, labels=labels, trimmed=trimmed, k=k)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labels.civl"
+        save_labels_civl(cv, path)
+        back = load_labels_civl(path)
+    assert (back.dims, back.k) == (dims, k)
+    np.testing.assert_array_equal(back.labels, labels)
+    np.testing.assert_array_equal(back.trimmed, trimmed)
+
+
 class TestNormalizeColumns:
     def test_zero_mean_unit_sd(self):
         rng = np.random.default_rng(2)
@@ -118,7 +162,6 @@ class TestNormalizeColumns:
         normed, stats = normalize_columns(coefs)
         assert np.abs(normed.values.mean(axis=0)).max() < 1e-10
         assert np.abs(normed.values.std(axis=0, ddof=1) - 1.0).max() < 1e-10
-        assert normed.normalized
 
     def test_constant_column_centered_with_unit_scale(self):
         values = np.column_stack([np.full(10, 7.0), np.arange(10.0)])

@@ -69,9 +69,9 @@ def test_step_means_match_per_cluster_mean(case, alpha):
     U, M = case
     trim = TrimSpec(alpha)
     assume(trim.retained_count(U.shape[0]) >= M.shape[0])
-    updated, state = tclust_step(U, MeanModel(M), trim)
+    updated, kept, kept_labels = tclust_step(U, MeanModel(M), trim)
     for c in range(M.shape[0]):
-        members = state.retained_idx[state.retained_labels == c + 1]
+        members = kept[kept_labels == c + 1]
         if members.size:
             np.testing.assert_array_equal(updated.means[c], U[members].mean(axis=0))
 

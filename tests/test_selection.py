@@ -148,10 +148,6 @@ class TestSelectK:
         with pytest.raises(ValueError):
             select_k(make_trace([2, 3], [1.0, 0.5]), 0.0)
 
-    def test_explicit_penalty_function(self):
-        trace = make_trace([2, 3, 4], [3.0, 0.5, 0.49])
-        assert select_k(trace, 0.01, pen=lambda k: 100.0 * k) == 3
-
 
 class TestTraceCsv:
     def test_round_trip(self, tmp_path):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracles import pair_counting_ari
 
@@ -65,6 +68,25 @@ class TestAdjustedRandIndex:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             adjusted_rand_index([1], [1])
+
+
+@st.composite
+def two_labelings(draw):
+    n = draw(st.integers(2, 40))
+    labels = hnp.arrays(np.int64, n, elements=st.integers(0, 5))
+    return draw(labels), draw(labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_labelings(), st.permutations(range(6)))
+def test_ari_symmetric_and_invariant_to_renaming(case, perm):
+    a, b = case
+    ari = adjusted_rand_index(a, b)
+    assert adjusted_rand_index(b, a) == ari
+    rename = 7 * np.array(perm) + 100          # one-to-one, new label values
+    assert adjusted_rand_index(rename[a], b) == ari
+    assert adjusted_rand_index(a, rename[b]) == ari
+    assert -1.0 <= ari <= 1.0
 
 
 class TestSimConfig:
@@ -174,6 +196,6 @@ class TestRunStudy:
             run_study("S1", [(10, 20)], 1, methods=("mystery",))
 
     def test_cell_lookup(self):
-        report = StudyReport(rows=[], replicates=1)
+        report = StudyReport(rows=[])
         with pytest.raises(KeyError):
             report.cell(10, 10, "kmeans")

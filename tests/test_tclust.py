@@ -102,14 +102,14 @@ class TestStep:
         b = rng.normal(10, 0.5, (20, 2))
         U = np.vstack([a, b])
         centroids = np.vstack([a.mean(axis=0), b.mean(axis=0)])
-        updated, state = tclust_step(U, MeanModel(centroids), TrimSpec(0.0))
+        updated, kept, _ = tclust_step(U, MeanModel(centroids), TrimSpec(0.0))
         np.testing.assert_allclose(updated.means, centroids, atol=1e-12)
-        assert state.retained_idx.size == 40
+        assert kept.size == 40
 
     def test_single_cluster_moves_to_grand_mean(self):
         rng = np.random.default_rng(4)
         U = rng.normal(size=(15, 3))
-        updated, _ = tclust_step(U, MeanModel(rng.normal(size=(1, 3))), TrimSpec(0.0))
+        updated, _, _ = tclust_step(U, MeanModel(rng.normal(size=(1, 3))), TrimSpec(0.0))
         np.testing.assert_allclose(updated.means[0], U.mean(axis=0), atol=1e-12)
 
     def test_outlier_trimmed_and_centroids_recovered(self):
@@ -118,8 +118,8 @@ class TestStep:
         U = np.array([[0.0, 0.0], [0.2, 0.0], [5.0, 5.0], [5.2, 5.0], [80.0, -40.0]])
         trim = TrimSpec(0.2)
         model = MeanModel(np.array([[0.0, 0.0], [5.0, 5.0]]))
-        updated, state = tclust_step(U, model, trim)
-        assert 4 not in state.retained_idx
+        updated, kept, _ = tclust_step(U, model, trim)
+        assert 4 not in kept
         np.testing.assert_allclose(
             updated.means, [[0.1, 0.0], [5.1, 5.0]], atol=1e-12)
         assert tclust_objective(U, updated, trim) == pytest.approx(
@@ -132,7 +132,7 @@ class TestStep:
         model = MeanModel(U[rng.choice(60, 2, replace=False)])
         prev = tclust_objective(U, model, trim)
         for _ in range(10):
-            model, _ = tclust_step(U, model, trim)
+            model, _, _ = tclust_step(U, model, trim)
             objective = tclust_objective(U, model, trim)
             assert objective >= prev - 1e-10
             prev = objective
