@@ -5,6 +5,12 @@ clamped cubic B-spline basis by ordinary least squares, reducing each
 length-m series to a d-dimensional coefficient vector. The basis is
 evaluated with the Cox-de Boor recursion; the Gram matrix of the shared
 design is factorized once and reused across all series.
+
+`detrend` and `ols_fit` compute every series' result from that series
+alone, summing in an order fixed by the grid and the design. A series
+therefore gets the same coefficients, to the bit, whether it is fitted
+alone or in a block of any size, so the volume can be filtered block by
+block.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 
 ORDER = 4  # cubic splines throughout
@@ -146,11 +153,15 @@ class DesignMatrix:
 
     `solve_normal(rhs)` applies (X^T X)^{-1} (Cholesky) or (X^T X)^+
     (pseudoinverse) depending on the conditioning found at construction.
+    X^T is also kept in CSR form (a B-spline design has at most 4 nonzeros
+    per row), so that X^T z sums each entry's few terms in one fixed order,
+    where a dense matrix product's order depends on the number of series.
     """
 
     matrix: np.ndarray          # m x d
     gram: np.ndarray            # d x d
     singular: bool
+    _xt: sparse.csr_matrix = field(repr=False, default=None)
     _cho: tuple = field(repr=False, default=None)
     _pinv: np.ndarray = field(repr=False, default=None)
 
@@ -163,11 +174,12 @@ class DesignMatrix:
         eigvals = np.linalg.eigvalsh(gram)
         largest = eigvals[-1]
         singular = largest <= 0 or eigvals[0] <= GRAM_RCOND * largest
+        xt = sparse.csr_matrix(X.T)
         if singular:
             pinv = np.linalg.pinv(gram, rcond=GRAM_RCOND)
-            return cls(matrix=X, gram=gram, singular=True, _pinv=pinv)
+            return cls(matrix=X, gram=gram, singular=True, _xt=xt, _pinv=pinv)
         cho = cho_factor(gram)
-        return cls(matrix=X, gram=gram, singular=False, _cho=cho)
+        return cls(matrix=X, gram=gram, singular=False, _xt=xt, _cho=cho)
 
     @property
     def m(self) -> int:
@@ -178,8 +190,15 @@ class DesignMatrix:
         return self.matrix.shape[1]
 
     def solve_normal(self, rhs: np.ndarray) -> np.ndarray:
+        """Apply the (pseudo)inverse Gram matrix to a d x n stack of
+        right-hand sides; each column's result does not depend on the others."""
         if self.singular:
-            return self._pinv @ rhs
+            # one pseudoinverse column at a time, so every entry adds its d
+            # terms in the same order for any n (a matrix product does not)
+            out = self._pinv[:, :1] * rhs[:1]
+            for c in range(1, self.d):
+                out += self._pinv[:, c:c + 1] * rhs[c:c + 1]
+            return out
         return cho_solve(self._cho, rhs)
 
 
@@ -199,14 +218,15 @@ def ols_fit(design: DesignMatrix, z: np.ndarray) -> np.ndarray:
     Gram matrix is numerically singular the Moore-Penrose solution
     (X^T X)^+ X^T z is returned instead, which is the minimum-norm
     least-squares solution. Accepts a length-m vector or an (n, m) matrix
-    of series; returns (d,) or (n, d) accordingly.
+    of series; returns (d,) or (n, d) accordingly. Each row's coefficients
+    are the same bits whatever the other rows are.
     """
     z = np.asarray(z, dtype=float)
     single = z.ndim == 1
     Z = np.atleast_2d(z)
     if Z.shape[1] != design.m:
         raise ValueError(f"series length {Z.shape[1]} != design rows {design.m}")
-    rhs = design.matrix.T @ Z.T          # d x n
+    rhs = design._xt @ Z.T               # d x n
     coefs = design.solve_normal(rhs).T   # n x d
     return coefs[0] if single else coefs
 
@@ -215,7 +235,8 @@ def detrend(series: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Residuals of the per-series least-squares fit on (1, t).
 
     Output has zero mean and zero correlation with t. Accepts one series
-    or an (n, m) stack sharing the grid.
+    or an (n, m) stack sharing the grid; each row is detrended on its own,
+    with the same bits for any stack.
     """
     t = grid.points
     if t.size < 2:
@@ -229,7 +250,7 @@ def detrend(series: np.ndarray, grid: TimeGrid) -> np.ndarray:
     Z = np.atleast_2d(z)
     if Z.shape[1] != t.size:
         raise ValueError("series length does not match the grid")
-    slope = (Z @ tc) / stt                      # (n,)
+    slope = np.einsum("ij,j->i", Z, tc) / stt   # per row, unlike a gemv
     resid = Z - Z.mean(axis=1, keepdims=True) - slope[:, None] * tc[None, :]
     return resid[0] if single else resid
 

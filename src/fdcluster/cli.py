@@ -108,12 +108,17 @@ def cmd_fit(args) -> int:
     cfg = _build_run_config(args)
     vol = load_volume(args.input, args.format)
     out = Path(args.out)
+    made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
     try:
         result = run_two_stage(vol, cfg)
     except (SlopeEstimationError, ValueError) as exc:
         trace = getattr(exc, "trace", None)
         if trace is None:
+            # e.g. a non-finite value found while stage 1 streams the file:
+            # nothing was written, so leave no empty output directory behind
+            if made:
+                out.rmdir()
             raise
         trace.write_csv(out / "trace.csv")
         print(f"model selection failed: {exc}", file=sys.stderr)

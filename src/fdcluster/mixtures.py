@@ -195,8 +195,10 @@ def nearest_mean(U: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def spherical_log_likelihood(B, model: MeanModel) -> float:
     """Equal-weight spherical mixture log-likelihood of the coefficient set.
 
-    sum_i log sum_c (1/k) N(b_i; mu_c, scale * I). Evaluated in fixed-size
-    row blocks so the accumulation order is independent of n.
+    sum_i log sum_c (1/k) N(b_i; mu_c, scale * I). Each row's term is
+    computed from that row alone, in row blocks of fixed size, and the terms
+    are summed exactly (`math.fsum`), so the total is the correctly rounded
+    sum of the per-row terms whatever the block size or the row order.
     """
     U = coef_values(B)
     if U.shape[0] == 0:
@@ -204,12 +206,12 @@ def spherical_log_likelihood(B, model: MeanModel) -> float:
     if U.shape[1] != model.d:
         raise ValueError("dimension mismatch between coefficients and means")
     const, lam = model.log_score_const, model.scale
-    partials = []
+    rows = np.empty(U.shape[0])
     for lo in range(0, U.shape[0], _CHUNK):
         chunk = U[lo:lo + _CHUNK]
         scores = const - _sq_distances(chunk, model.means) / (2.0 * lam)
-        partials.append(float(np.sum(logsumexp(scores, axis=1))))
-    return math.fsum(partials)
+        rows[lo:lo + _CHUNK] = logsumexp(scores, axis=1)
+    return math.fsum(rows)
 
 
 def bayes_allocate(b, params: GmmParams):

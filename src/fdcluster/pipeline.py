@@ -20,7 +20,10 @@ File formats (little-endian throughout):
 from __future__ import annotations
 
 import csv
+import math
+import mmap
 import numbers
+import os
 import struct
 import time
 import warnings
@@ -39,6 +42,12 @@ from .tclust import (ClusterFit, TrimSpec, allocate_all, seed_int,
 _CIVT_MAGIC = b"CIVT"
 _CIVL_MAGIC = b"CIVL"
 _FORMAT_VERSION = 1
+_CIVT_HEADER_BYTES = 40     # magic, five u32, two f64
+
+# Voxels filtered together in stage 1. Only one block of series (as float64,
+# with its detrend temporaries) is resident at a time; the stage-1 kernels
+# work per row, so the coefficients do not depend on this number.
+_STAGE1_ROWS = 256
 
 # 16 fixed colors; slice images index them by label mod 16, trimmed voxels
 # render black.
@@ -56,15 +65,22 @@ class FallbackWarning(UserWarning):
 
 @dataclass
 class VolumeSeries:
-    """nx*ny*nz voxel time series on one shared grid, x-fastest order."""
+    """nx*ny*nz voxel time series on one shared grid, x-fastest order.
+
+    In-memory series are stored as float64 and checked to be finite here. A
+    file-backed series (an ``np.memmap``, as `load_volume` returns for CIVT)
+    is kept as mapped and checked block by block as stage 1 reads it.
+    """
 
     dims: tuple                # (nx, ny, nz)
-    series: np.ndarray         # (n, m)
+    series: np.ndarray         # (n, m) float64, or a read-only float32 np.memmap
     grid: TimeGrid
 
     def __post_init__(self):
         nx, ny, nz = self.dims
-        self.series = np.asarray(self.series, dtype=float)
+        mapped = isinstance(self.series, np.memmap)
+        if not mapped:
+            self.series = np.asarray(self.series, dtype=float)
         if self.series.ndim != 2:
             raise ValueError("series must be an n x m matrix")
         if self.series.shape[0] != nx * ny * nz:
@@ -73,7 +89,7 @@ class VolumeSeries:
                 f"{self.series.shape[0]} series are present")
         if self.series.shape[1] != self.grid.m:
             raise ValueError("series length does not match the grid")
-        if not np.all(np.isfinite(self.series)):
+        if not mapped and not np.all(np.isfinite(self.series)):
             raise ValueError("volume contains non-finite values")
 
     @property
@@ -118,6 +134,8 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a number")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError("lam must be a positive finite number")
         try:
             entries = tuple(self.k_set)
         except TypeError:
@@ -198,7 +216,8 @@ def normalize_columns(B: CoefSet) -> tuple[CoefSet, ColumnStats]:
     means = values.mean(axis=0)
     sds = values.std(axis=0, ddof=1)
     sds = np.where(sds == 0.0, 1.0, sds)
-    normalized = (values - means) / sds
+    normalized = values - means
+    normalized /= sds           # in place: one n x d copy besides the input
     stats = ColumnStats(means=means, sds=sds)
     return CoefSet(values=normalized), stats
 
@@ -223,6 +242,10 @@ def save_volume_civt(vol: VolumeSeries, path) -> None:
 
 
 def _load_civt(path) -> VolumeSeries:
+    """Check the header and the file size, then map the payload read-only.
+
+    No payload byte is read here: stage 1 reads the mapping block by block.
+    """
     with open(path, "rb") as fh:
         if _read_exact(fh, 4) != _CIVT_MAGIC:
             raise ValueError(f"{path} is not a CIVT volume")
@@ -230,12 +253,15 @@ def _load_civt(path) -> VolumeSeries:
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported CIVT version {version}")
         t_lo, t_hi = struct.unpack("<2d", _read_exact(fh, 16))
-        n = nx * ny * nz
-        raw = _read_exact(fh, 4 * n * m)
-        if fh.read(1):
-            raise ValueError("trailing bytes after CIVT payload")
-    series = np.frombuffer(raw, dtype="<f4").astype(float).reshape(n, m)
+        payload = os.fstat(fh.fileno()).st_size - _CIVT_HEADER_BYTES
+    n = nx * ny * nz
+    if payload < 4 * n * m:
+        raise ValueError("unexpected end of file")
+    if payload > 4 * n * m:
+        raise ValueError("trailing bytes after CIVT payload")
     grid = TimeGrid.uniform(t_lo, t_hi, m)
+    series = np.memmap(path, dtype="<f4", mode="r",
+                       offset=_CIVT_HEADER_BYTES, shape=(n, m))
     return VolumeSeries(dims=(nx, ny, nz), series=series, grid=grid)
 
 
@@ -380,6 +406,53 @@ def render_slice(cv: ClusterVolume, axis: str, index: int, path) -> None:
 # ---------------------------------------------------------------------------
 # orchestration
 
+def _release_rows(series: np.ndarray, row: int, done: int) -> int:
+    """Drop this process's mapped pages of a file-backed series that hold
+    only rows before `row`, from byte `done` of the mapping on; return the
+    new `done`. In-memory series have nothing to drop.
+
+    Mapped file pages count towards the resident set (and its peak) until
+    unmapped, so a pass over a mapped volume would otherwise end with the
+    whole file resident. On a read-only mapping MADV_DONTNEED drops only the
+    references; the data stays in the page cache.
+    """
+    mapping = getattr(series, "_mmap", None)     # numpy's mmap of a np.memmap
+    if mapping is None or not hasattr(mmap, "MADV_DONTNEED"):
+        return done
+    # np.memmap maps from the allocation boundary below its file offset
+    end = (series.offset % mmap.ALLOCATIONGRANULARITY
+           + row * series.shape[1] * series.itemsize)
+    end -= end % mmap.PAGESIZE
+    if end <= done:
+        return done
+    mapping.madvise(mmap.MADV_DONTNEED, done, end - done)
+    return end
+
+
+def _stage1_coefficients(vol: VolumeSeries, design, detrended: bool) -> np.ndarray:
+    """Raw n x d coefficients, filtered in blocks of `_STAGE1_ROWS` voxels.
+
+    Each block is converted to float64, checked to be finite, detrended when
+    asked and projected. `detrend` and `ols_fit` are looked up in this
+    module's globals on every block.
+    """
+    n = vol.n
+    coefs = np.empty((n, design.d))
+    released = 0
+    for lo in range(0, n, _STAGE1_ROWS):
+        hi = min(lo + _STAGE1_ROWS, n)
+        block = np.asarray(vol.series[lo:hi], dtype=float)
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            voxel = lo + int(np.argmin(finite))
+            raise ValueError(f"volume contains non-finite values (voxel {voxel})")
+        if detrended:
+            block = detrend(block, vol.grid)
+        coefs[lo:hi] = ols_fit(design, block)
+        released = _release_rows(vol.series, hi, released)
+    return coefs
+
+
 @dataclass
 class TwoStageResult:
     """Everything produced by one end-to-end run."""
@@ -396,6 +469,9 @@ class TwoStageResult:
 def run_two_stage(vol: VolumeSeries, cfg: RunConfig) -> TwoStageResult:
     """Filter, sweep cluster counts, select k, and allocate every voxel.
 
+    Stage 1 streams the series in blocks (`_stage1_coefficients`); a
+    non-finite value raises ValueError naming its voxel.
+
     Degenerate volumes are handled conservatively, with a FallbackWarning
     each time: the cluster count is capped at n, the trim level drops to
     zero whenever the retained count would fall below k, and normalization
@@ -405,12 +481,9 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig) -> TwoStageResult:
     ``exc.trace``) when the loss-penalty slope is nonpositive; when some
     candidates were capped at n, its message names them.
     """
-    Z = vol.series
-    if cfg.detrend:
-        Z = detrend(Z, vol.grid)
     system = make_bspline_system((vol.grid.t_lo, vol.grid.t_hi), cfg.d)
     design = design_matrix(system, vol.grid)
-    coefs = CoefSet(ols_fit(design, Z))
+    coefs = CoefSet(_stage1_coefficients(vol, design, cfg.detrend))
 
     stats = None
     if cfg.normalize:

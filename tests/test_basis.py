@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
 from fdcluster.basis import (CoefSet, DesignMatrix, TimeGrid, design_matrix,
@@ -176,9 +178,8 @@ class TestOlsFit:
             # same series against independently built identical designs: bit-equal
             np.testing.assert_array_equal(ols_fit(independent, Z[i]),
                                           ols_fit(shared, Z[i]))
-            # batched solve agrees with the per-series solve
-            np.testing.assert_allclose(ols_fit(independent, Z[i]), batch[i],
-                                       rtol=1e-12, atol=1e-14)
+            # batched solve equals the per-series solve
+            np.testing.assert_array_equal(ols_fit(independent, Z[i]), batch[i])
 
     def test_shape_mismatch_rejected(self):
         design = DesignMatrix.from_matrix(np.eye(4))
@@ -249,6 +250,26 @@ class TestCoefSet:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             CoefSet(values=np.array([[1.0, np.nan]]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(2, 60), st.integers(4, 16),
+       st.integers(0, 2 ** 32 - 1))
+def test_one_series_gets_the_bits_of_its_row_in_a_batch(n, m, d, seed):
+    """detrend and ols_fit work per row: a series alone, a batch and the
+    batch's row blocks agree exactly, on regular and rank-deficient
+    (m < d) designs."""
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid.uniform(-1.0, 3.0, m)
+    design = design_matrix(make_bspline_system((-1.0, 3.0), d), grid)
+    Z = rng.standard_normal((n, m)) * rng.uniform(0.1, 100.0) + rng.uniform(-50, 50)
+    resid = detrend(Z, grid)
+    coefs = ols_fit(design, Z)
+    for i in range(n):
+        np.testing.assert_array_equal(detrend(Z[i], grid), resid[i])
+        np.testing.assert_array_equal(ols_fit(design, Z[i]), coefs[i])
+    for lo in range(0, n, 5):
+        np.testing.assert_array_equal(ols_fit(design, Z[lo:lo + 5]), coefs[lo:lo + 5])
 
 
 class TestTimeGrid:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fdcluster import pipeline
 from fdcluster.basis import TimeGrid
 from fdcluster.cli import main
 from fdcluster.pipeline import VolumeSeries, load_labels_civl, save_volume_civt
@@ -85,6 +86,41 @@ def test_fit_config_value_of_wrong_type_is_validation_error(tmp_path, blocked_ci
                "--config", str(cfg_path), "--out", str(tmp_path / "x")])
     assert rc == 2
     assert next(iter(bad)) in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("config, flags", [
+    ({"lam": 0}, []), ({"lam": -1}, []), ({"lam": float("nan")}, []),
+    ({}, ["--lambda", "0"]),
+], ids=["lam 0", "lam -1", "lam NaN", "--lambda 0"])
+def test_fit_lambda_not_positive_is_rejected_before_the_run(tmp_path, blocked_civt,
+                                                            capsys, config, flags):
+    vol_path, _ = blocked_civt
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"d": 10, "k_set": [3], "restarts": 2, **config}))
+    rc = main(["fit", "--input", str(vol_path), "--format", "civt",
+               "--config", str(cfg_path), *flags, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "lam must be a positive finite number" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_fit_non_finite_value_in_the_last_block_is_validation_error(tmp_path, capsys):
+    # the volume is checked block by block as stage 1 reads it; the bad value
+    # sits in the last voxel, after several full blocks
+    rng = np.random.default_rng(2)
+    n, m = 2 * pipeline._STAGE1_ROWS + 5, 12
+    vol = VolumeSeries(dims=(n, 1, 1), series=rng.standard_normal((n, m)),
+                       grid=TimeGrid.uniform(0.0, 1.0, m))
+    path = tmp_path / "vol.civt"
+    save_volume_civt(vol, path)
+    data = bytearray(path.read_bytes())
+    data[-4:] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(data))
+    rc = main(["fit", "--input", str(path), "--format", "civt", "--d", "6",
+               "--k-set", "2", "--restarts", "1", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert f"non-finite values (voxel {n - 1})" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 

@@ -141,25 +141,18 @@ def points_and_model(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(points_and_model(), st.sampled_from([1, 7, mixtures._CHUNK]))
-def test_log_likelihood_is_the_exact_sum_of_fixed_row_blocks(case, chunk):
-    """With any block size the total is math.fsum of the per-block totals,
-    so the blocks already summed do not change when rows are appended.
-
-    Across block sizes the totals agree only to rounding: each block is
-    summed by np.sum, and only the block totals are summed exactly.
-    """
+@given(points_and_model())
+def test_log_likelihood_is_the_exact_sum_of_fixed_row_blocks(case):
+    """For block sizes 1, 7 and the default the total is the same bits: the
+    exactly rounded sum (math.fsum) of the single-row log-likelihoods."""
     U, model = case
-    n = U.shape[0]
-    rows = [spherical_log_likelihood(U[i:i + 1], model) for i in range(n)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mixtures, "_CHUNK", chunk)
-        total = spherical_log_likelihood(U, model)
-        blocks = [spherical_log_likelihood(U[lo:lo + chunk], model)
-                  for lo in range(0, n, chunk)]
-    assert total == math.fsum(blocks)
-    bound = (n + 2) * 2.0 ** -52 * math.fsum(abs(r) for r in rows)
-    assert abs(total - math.fsum(rows)) <= bound
+    rows = [spherical_log_likelihood(U[i:i + 1], model) for i in range(U.shape[0])]
+    totals = []
+    for chunk in (1, 7, mixtures._CHUNK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mixtures, "_CHUNK", chunk)
+            totals.append(spherical_log_likelihood(U, model))
+    assert totals == [math.fsum(rows)] * 3
 
 
 class TestAllocation:

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fdcluster import pipeline
 from fdcluster.basis import CoefSet, TimeGrid, design_matrix, make_bspline_system
 from fdcluster.pipeline import (ClusterVolume, FallbackWarning, MeanFunctions,
                                 RunConfig, VolumeSeries, export_cluster_map,
@@ -115,6 +117,111 @@ class TestCivtRoundTrip:
         path.write_bytes(data[:-3])
         with pytest.raises(ValueError):
             load_volume(path, "civt")
+
+
+class _ReadCounter:
+    """A file object that records how many bytes were read through it."""
+
+    def __init__(self, fh, counts):
+        self._fh, self._counts = fh, counts
+
+    def read(self, size=-1):
+        data = self._fh.read(size)
+        self._counts.append(len(data))
+        return data
+
+    def fileno(self):
+        return self._fh.fileno()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: data[:-3], "unexpected end of file"),
+    (lambda data: data + b"\x00", "trailing bytes"),
+], ids=["truncated", "trailing"])
+def test_civt_size_rejected_before_the_payload_is_read(tmp_path, monkeypatch,
+                                                       edit, message):
+    rng = np.random.default_rng(1)
+    grid = TimeGrid.uniform(0.0, 1.0, 40)
+    vol = VolumeSeries(dims=(5, 2, 1), series=rng.standard_normal((10, 40)), grid=grid)
+    path = tmp_path / "t.civt"
+    save_volume_civt(vol, path)
+    path.write_bytes(edit(path.read_bytes()))
+    counts = []
+    monkeypatch.setattr(pipeline, "open",
+                        lambda *a, **kw: _ReadCounter(open(*a, **kw), counts),
+                        raising=False)
+    with pytest.raises(ValueError, match=message):
+        load_volume(path, "civt")
+    assert sum(counts) == 40          # the header, not the 1600-byte payload
+
+
+def test_civt_loads_as_a_read_only_float32_mapping(tmp_path):
+    rng = np.random.default_rng(2)
+    grid = TimeGrid.uniform(0.0, 1.0, 7)
+    vol = VolumeSeries(dims=(3, 2, 2), series=rng.standard_normal((12, 7)), grid=grid)
+    path = tmp_path / "v.civt"
+    save_volume_civt(vol, path)
+    back = load_volume(path, "civt")
+    assert isinstance(back.series, np.memmap)
+    assert back.series.dtype == np.float32 and back.series.shape == (12, 7)
+    assert not back.series.flags.writeable
+
+
+def test_stage1_streams_a_mapped_volume_in_bounded_memory(tmp_path):
+    # loading and filtering a 4000 x 500 volume keeps at most a few
+    # 256-row blocks allocated; a float64 copy of the volume would be n*m*8
+    n, m = 4000, 500
+    rng = np.random.default_rng(5)
+    grid = TimeGrid.uniform(0.0, 1.0, m)
+    vol = VolumeSeries(dims=(20, 20, 10), series=rng.standard_normal((n, m)), grid=grid)
+    path = tmp_path / "big.civt"
+    save_volume_civt(vol, path)
+    del vol
+    cfg = RunConfig(d=8, k_set=(2,), restarts=1, max_iter=2, seed=0)
+    tracemalloc.start()
+    try:
+        result = run_two_stage(load_volume(path, "civt"), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.cluster_volume.labels.shape == (n,)
+    assert peak < n * m * 8 / 4
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 30), st.integers(2, 40), st.integers(4, 12), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_stage1_coefficients_do_not_depend_on_the_block_size(n, m, d, detrended, seed):
+    """Block sizes 1, 7 and the default give the same bits, for in-memory
+    and file-backed series alike; m < d gives a rank-deficient design."""
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid.uniform(0.0, 2.0, m)
+    t = grid.points
+    series = (rng.standard_normal((n, m)) * rng.uniform(0.1, 100.0)
+              + rng.uniform(-50.0, 50.0) + rng.standard_normal((n, 1)) * t)
+    series = series.astype(np.float32).astype(float)
+    vol = VolumeSeries(dims=(n, 1, 1), series=series, grid=grid)
+    design = design_matrix(make_bspline_system((0.0, 2.0), d), grid)
+    assert design.singular or m >= d
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vol.civt"
+        save_volume_civt(vol, path)
+        mapped = load_volume(path, "civt")
+        results = []
+        for rows in (1, 7, pipeline._STAGE1_ROWS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pipeline, "_STAGE1_ROWS", rows)
+                for source in (vol, mapped):
+                    results.append(pipeline._stage1_coefficients(source, design, detrended))
+        del mapped
+    for coefs in results[1:]:
+        np.testing.assert_array_equal(coefs, results[0])
 
 
 DIMS = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3))
