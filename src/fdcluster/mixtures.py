@@ -138,37 +138,46 @@ def _sq_distances(U: np.ndarray, means: np.ndarray) -> np.ndarray:
     return out
 
 
-def nearest_mean(U: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest mean of every row (0-based) and the squared distance to it.
+def nearest_search(U: np.ndarray,
+                   means: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Nearest mean of every row (0-based), an estimate of the squared
+    distance to it, and a bound on the estimate's error.
 
-    Both are bit-identical to ``np.argmin(_sq_distances(U, means), axis=1)``
-    (ties toward the lowest index) and the distance it selects. The search
-    scores ``||mu||^2 - 2 u.mu`` with one matrix product; the chosen
-    distance is recomputed in the difference form of `_sq_distances`, and
-    rows whose two best scores lie within rounding of each other are
-    rescored exactly.
+    The labels are those of `nearest_mean`. The estimate is
+    est = ||u||^2 + h_b, where h_b = ||mu_b||^2 - 2 u.mu_b is the chosen
+    mean's score from one matrix product; rows rescored exactly carry their
+    exact distance instead. Every row has |est - D| <= bound, where D is the
+    difference-form distance `chosen_sq_distances` returns for its label.
 
     Rounding bound. Let S = ||u||^2 + max_c ||mu_c||^2 and g = (d + 3) eps
     with eps = 2^-53. The product scores h_c err by at most 2gS (the dot
     product by g * sum_j |2 u_j mu_cj| <= gS, ||mu_c||^2 by gS, the final
     addition by 2 eps S), and the difference-form distances D_c by at most
     2gS (each term carries 3 eps, the sum g, and ||u - mu_c||^2 <= 2S).
-    h_c and D_c - ||u||^2 estimate the same number, so if the exact rule
-    picks a and the search picks b != a, then
-    0 <= h_a - h_b <= (D_a - D_b) + 8gS <= 8gS: the two best scores lie
-    within 8gS of each other. As ||u||^2 <= 2 ||u - mu_b||^2 + 2 ||mu_b||^2,
-    S <= (1 + g) (2 D_b + 3 max_c ||mu_c||^2). So every row where the two
-    rules could disagree, exact ties included, has a gap of at most
-    rtol * (2 D_b + 3 max_c ||mu_c||^2); rtol = max(1e-10, 16g) is at
-    least twice the bound (about 1000 times it at d = 100).
+    h_c and D_c - ||u||^2 estimate the same number.
+
+    Labels: if the exact rule picks a and the search picks b != a, then
+    0 <= h_a - h_b <= (D_a - D_b) + 8gS <= 8gS, so the two best scores lie
+    within 8gS of each other. Rows whose gap is at most rtol * S, with S as
+    computed and rtol = max(1e-10, 16g), are rescored exactly with
+    `_sq_distances`, exact ties included; rtol is at least twice the bound,
+    which covers the rounding of the computed S.
+
+    Estimate: the computed ||u||^2 errs by at most gS and the addition of
+    h_b by at most eps (||u||^2 + |h_b|) <= 3 eps S <= gS, so
+    |est - D| <= 2gS + 2gS + gS + gS = 6gS. The returned bound,
+    8g (max_i ||u_i||^2 + max_c ||mu_c||^2), covers every row and the
+    rounding of the computed maxima.
     """
     n, d = U.shape
     mu_sq = np.einsum("ij,ij->i", means, means)
+    mu_max = float(mu_sq.max())
     neg2_means = -2.0 * means
-    slack = 3.0 * float(mu_sq.max())
-    rtol = max(1e-10, 16.0 * (d + 3) * 2.0 ** -53)
+    g = (d + 3) * 2.0 ** -53
+    rtol = max(1e-10, 16.0 * g)
     labels = np.empty(n, dtype=np.intp)
-    dist = np.empty(n)
+    est = np.empty(n)
+    u_max = 0.0
     for lo in range(0, n, _NEAREST_ROWS):
         block = U[lo:lo + _NEAREST_ROWS]
         rows = np.arange(block.shape[0])
@@ -180,16 +189,46 @@ def nearest_mean(U: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarr
         best = scores[rows, lab]
         scores[rows, lab] = np.inf
         gap = scores.min(axis=1) - best
-        diff = block - means[lab]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        near = np.flatnonzero(gap <= rtol * (2.0 * d2 + slack))
+        u_sq = np.einsum("ij,ij->i", block, block)
+        near = np.flatnonzero(gap <= rtol * (u_sq + mu_max))
+        best += u_sq
         if near.size:
             exact = _sq_distances(block[near], means)
             lab[near] = np.argmin(exact, axis=1)
-            d2[near] = exact[np.arange(near.size), lab[near]]
+            best[near] = exact[np.arange(near.size), lab[near]]
+        u_max = max(u_max, float(u_sq.max()))
         labels[lo:lo + _NEAREST_ROWS] = lab
-        dist[lo:lo + _NEAREST_ROWS] = d2
-    return labels, dist
+        est[lo:lo + _NEAREST_ROWS] = best
+    return labels, est, 8.0 * g * (u_max + mu_max)
+
+
+def chosen_sq_distances(U: np.ndarray, means: np.ndarray, labels: np.ndarray,
+                        rows: np.ndarray | None = None) -> np.ndarray:
+    """||u_i - mu_{labels[i]}||^2 in the difference form of `_sq_distances`.
+
+    `labels` (0-based) belong to `rows` of U, or to every row when `rows` is
+    None. Computed in row blocks, so no n x d temporary is made.
+    """
+    m = U.shape[0] if rows is None else rows.size
+    out = np.empty(m)
+    for lo in range(0, m, _NEAREST_ROWS):
+        part = slice(lo, lo + _NEAREST_ROWS)
+        block = U[part] if rows is None else U[rows[part]]
+        diff = means[labels[part]]
+        np.subtract(block, diff, out=diff)
+        out[part] = np.einsum("ij,ij->i", diff, diff)
+    return out
+
+
+def nearest_mean(U: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest mean of every row (0-based) and the squared distance to it.
+
+    Both are bit-identical to ``np.argmin(_sq_distances(U, means), axis=1)``
+    (ties toward the lowest index) and the distance it selects: the labels
+    come from `nearest_search`, the distances from `chosen_sq_distances`.
+    """
+    labels = nearest_search(U, means)[0]
+    return labels, chosen_sq_distances(U, means, labels)
 
 
 def spherical_log_likelihood(B, model: MeanModel) -> float:

@@ -35,7 +35,7 @@ from .basis import (CoefSet, TimeGrid, design_matrix, detrend,
                     make_bspline_system, ols_fit)
 from .mixtures import spherical_log_likelihood
 from .selection import (PENALTIES, SelectionTrace, SlopeEstimate,
-                        SlopeEstimationError, estimate_slope_ddse, select_k)
+                        estimate_slope_ddse, select_k)
 from .tclust import (ClusterFit, TrimSpec, allocate_all, seed_int,
                      trimmed_kmeans)
 
@@ -469,18 +469,23 @@ class TwoStageResult:
 def run_two_stage(vol: VolumeSeries, cfg: RunConfig) -> TwoStageResult:
     """Filter, sweep cluster counts, select k, and allocate every voxel.
 
-    Stage 1 streams the series in blocks (`_stage1_coefficients`); a
-    non-finite value raises ValueError naming its voxel.
+    Candidates above the n voxels raise ValueError, naming them, before any
+    series is read. Stage 1 streams the series in blocks
+    (`_stage1_coefficients`); a non-finite value raises ValueError naming
+    its voxel.
 
     Degenerate volumes are handled conservatively, with a FallbackWarning
-    each time: the cluster count is capped at n, the trim level drops to
-    zero whenever the retained count would fall below k, and normalization
-    is skipped when fewer than two series are present.
+    each time: the trim level drops to zero whenever the retained count
+    would fall below k, and normalization is skipped when fewer than two
+    series are present.
 
     Raises SlopeEstimationError (with the completed sweep attached as
-    ``exc.trace``) when the loss-penalty slope is nonpositive; when some
-    candidates were capped at n, its message names them.
+    ``exc.trace``) when the loss-penalty slope is nonpositive.
     """
+    above = sorted(k for k in cfg.k_set if k > vol.n)
+    if above:
+        raise ValueError(f"candidates {above} exceed the {vol.n} voxels; "
+                         "remove them from the candidate set")
     system = make_bspline_system((vol.grid.t_lo, vol.grid.t_hi), cfg.d)
     design = design_matrix(system, vol.grid)
     coefs = CoefSet(_stage1_coefficients(vol, design, cfg.detrend))
@@ -498,22 +503,16 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig) -> TwoStageResult:
     k_seqs = np.random.SeedSequence(cfg.seed).spawn(len(cfg.k_set))
     trace = SelectionTrace(n_points=n)
     fits: dict[int, ClusterFit] = {}
-    capped = []
     for k, seq in zip(sorted(cfg.k_set), k_seqs):
-        k_eff = min(k, n)
-        if k_eff < k:
-            capped.append(k)
-            warnings.warn(f"k={k} exceeds the {n} voxels: fitting {n} clusters",
-                          FallbackWarning)
         trim = TrimSpec(cfg.alpha)
         h = trim.retained_count(n)
-        if h < k_eff:
+        if h < k:
             warnings.warn(f"k={k}: alpha={cfg.alpha} keeps {h} of {n} voxels, "
-                          f"fewer than {k_eff} clusters: fitting with alpha=0",
+                          f"fewer than {k} clusters: fitting with alpha=0",
                           FallbackWarning)
             trim = TrimSpec(0.0)
         t0 = time.perf_counter()
-        fit = trimmed_kmeans(coefs.values, k_eff, trim,
+        fit = trimmed_kmeans(coefs.values, k, trim,
                              restarts=cfg.restarts, max_iter=cfg.max_iter,
                              seed=seed_int(seq), scale=cfg.lam)
         loglik = spherical_log_likelihood(coefs.values, fit.model)
@@ -526,18 +525,6 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig) -> TwoStageResult:
     else:
         try:
             slope = estimate_slope_ddse(trace)
-        except SlopeEstimationError as exc:
-            if not capped:
-                exc.trace = trace
-                raise
-            # the capped candidates repeat the k=n loss and flatten the tail;
-            # more candidates would only add to that
-            err = SlopeEstimationError(
-                f"loss-penalty slope unusable: candidates {capped} exceed the "
-                f"{n} voxels and repeat the k={n} loss; remove them from the "
-                "candidate set", exc.diagnostics)
-            err.trace = trace
-            raise err from exc
         except Exception as exc:
             exc.trace = trace
             raise

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .basis import coef_values
-from .mixtures import MeanModel, kmeans_allocate, nearest_mean
+from .mixtures import (MeanModel, chosen_sq_distances, kmeans_allocate,
+                       nearest_mean, nearest_search)
 
 
 @dataclass(frozen=True)
@@ -30,12 +33,9 @@ class TrimSpec:
             raise ValueError("alpha must lie in [0, 1)")
 
     def retained_count(self, n: int) -> int:
-        x = n * (1.0 - self.alpha)
-        # snap float dust (e.g. n * (1 - 0.9)) back to the intended integer
-        nearest = round(x)
-        if abs(x - nearest) <= 1e-9 * max(1.0, abs(x)):
-            return int(nearest)
-        return int(math.floor(x))
+        """floor(n * (1 - alpha)) in exact arithmetic on alpha as written
+        (its shortest decimal form), so 0.1 means one tenth."""
+        return math.floor(int(n) * (1 - Fraction(str(self.alpha))))
 
 
 @dataclass
@@ -67,10 +67,15 @@ def component_log_score(u: np.ndarray, model: MeanModel, c: int) -> float:
     return model.log_score_const - float(diff @ diff) / (2.0 * model.scale)
 
 
+def _scores(model: MeanModel, d2: np.ndarray) -> np.ndarray:
+    """Log-scores of points at squared distances d2 from their component."""
+    return model.log_score_const - d2 / (2.0 * model.scale)
+
+
 def _best_scores(U: np.ndarray, model: MeanModel):
     """Per-point best log-score and its achieving 1-based component."""
     labels, d2 = nearest_mean(U, model.means)
-    return model.log_score_const - d2 / (2.0 * model.scale), labels + 1
+    return _scores(model, d2), labels + 1
 
 
 def _retain(scores: np.ndarray, h: int) -> np.ndarray:
@@ -84,6 +89,41 @@ def _retain(scores: np.ndarray, h: int) -> np.ndarray:
     keep = scores > cut
     ties = np.flatnonzero(scores == cut)
     keep[ties[:h - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
+
+
+def _certified_retain(U: np.ndarray, model: MeanModel, labels: np.ndarray,
+                      est: np.ndarray, bound: float, h: int) -> np.ndarray:
+    """`_retain` of the exact best scores, from estimated distances.
+
+    `est` and `bound` come from `nearest_search`: each row's chosen
+    difference-form distance D lies within `bound` of `est`, so the h-th
+    smallest estimate, `cut`, lies within `bound` of the h-th smallest D.
+    With w = 2 bound + margin, a row with est < cut - w has a D more than
+    the margin below that h-th D, and a row with est > cut + w has one more
+    than the margin above it. Two distances D1 < D2 get strictly ordered
+    scores const - D / t (t = 2 scale) once
+    D2 - D1 > 2.01 eps (D1 + D2) + 2 eps t |const|, since D / t and the
+    subtraction each round by eps of their size; the margin,
+    16 eps (|cut| + bound + t |const|), exceeds that near the cut and also
+    covers the rounding of cut -/+ w. So the first rows score strictly above
+    the h-th score and the second strictly below it: the exact rule keeps
+    and trims them whatever its tie-break. Only the rows in between (every
+    row scoring equal to the h-th among them) get exact scores, and
+    `_retain` picks the rest of the h from them in ascending index order
+    (all of them when they are exactly that many).
+    """
+    cut = np.partition(est, h - 1)[h - 1]
+    t = 2.0 * model.scale
+    margin = 16.0 * 2.0 ** -53 * (abs(cut) + bound + t * abs(model.log_score_const))
+    w = 2.0 * bound + margin
+    keep = est < cut - w
+    band = np.flatnonzero((est <= cut + w) & ~keep)
+    need = h - np.count_nonzero(keep)
+    if band.size > need:
+        d2 = chosen_sq_distances(U, model.means, labels[band], band)
+        band = band[_retain(_scores(model, d2), need)]
+    keep[band] = True
     return np.flatnonzero(keep)
 
 
@@ -128,30 +168,38 @@ def tclust_step(U, model: MeanModel,
     if h < model.k:
         raise ValueError("retained count is smaller than the cluster count")
 
-    scores, labels_all = _best_scores(U, model)
-    kept = _retain(scores, h)
-    kept_labels = labels_all[kept]
+    labels, est, bound = nearest_search(U, model.means)
+    kept = _certified_retain(U, model, labels, est, bound, h)
+    lab = labels[kept]
 
     # one stable sort (a radix sort on the small label type) lays out each
-    # cluster's members contiguously and in ascending index order: each sum
-    # adds its rows in the order U[members].mean(axis=0) does, and the
-    # division rounds the same
-    counts = np.bincount(kept_labels, minlength=model.k + 1)[1:]
-    small = kept_labels.astype(np.min_scalar_type(model.k))
-    members = kept[np.argsort(small, kind="stable")]
-    ends = np.cumsum(counts)
-    filled = np.flatnonzero(counts)
-    new_means = np.empty_like(model.means)
-    for c in filled:
-        new_means[c] = U[members[ends[c] - counts[c]:ends[c]]].sum(axis=0)
-    new_means[filled] /= counts[filled, None]
+    # cluster's members contiguously and in ascending index order; the
+    # one-hot k x n CSR product then adds each cluster's rows in that order,
+    # from zero, as U[members].sum(axis=0) does, without copying them
+    counts = np.bincount(lab, minlength=model.k)
+    members = kept[np.argsort(lab.astype(np.min_scalar_type(model.k)), kind="stable")]
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    if d > 1:
+        # scipy stores the indices as int32 when they fit, and checks and
+        # converts wider ones on every construction
+        idx = np.int32 if n <= np.iinfo(np.int32).max else np.intp
+        onehot = csr_matrix((np.ones(h), members.astype(idx), indptr.astype(idx)),
+                            shape=(model.k, n))
+        new_means = onehot @ U
+    else:
+        # numpy sums a single column pairwise, not row after row; gathering
+        # it copies only n numbers
+        new_means = np.stack([U[members[a:b]].sum(axis=0)
+                              for a, b in zip(indptr[:-1], indptr[1:])])
+    new_means /= np.maximum(counts, 1)[:, None]
     empty = np.flatnonzero(counts == 0)
     if empty.size:
-        worst_first = kept[np.argsort(scores[kept], kind="stable")]
+        scores = _scores(model, chosen_sq_distances(U, model.means, lab, kept))
+        worst_first = kept[np.argsort(scores, kind="stable")]
         for slot, c in enumerate(empty):
             new_means[c] = U[worst_first[slot % h]]
 
-    return MeanModel(new_means, model.scale), kept, kept_labels
+    return MeanModel(new_means, model.scale), kept, lab + 1
 
 
 def seed_int(seq: np.random.SeedSequence) -> int:

@@ -134,6 +134,16 @@ def test_fit_descending_k_range_is_validation_error(tmp_path, blocked_civt, caps
     assert not (tmp_path / "x").exists()
 
 
+def test_fit_candidates_above_n_are_validation_error(tmp_path, blocked_civt, capsys):
+    vol_path, _ = blocked_civt
+    rc = main(["fit", "--input", str(vol_path), "--format", "civt",
+               "--d", "10", "--k-set", "2..3,47..50", "--restarts", "2",
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "candidates [49, 50] exceed the 48 voxels" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_fit_missing_input_is_validation_error(tmp_path):
     rc = main(["fit", "--input", str(tmp_path / "absent.civt"),
                "--format", "civt", "--out", str(tmp_path / "o")])

@@ -1,7 +1,9 @@
-"""Module layout of the package: imports sit at module level, and the
-intra-package import graph has no cycle."""
+"""Module layout of the package: imports sit at module level, the
+intra-package import graph has no cycle, and every function the benchmark's
+tracer wraps is where it looks for it."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import fdcluster
@@ -9,6 +11,7 @@ import fdcluster
 PACKAGE = Path(fdcluster.__file__).parent
 MODULES = {path.stem: ast.parse(path.read_text(), filename=str(path))
            for path in sorted(PACKAGE.glob("*.py"))}
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def _local_imports(tree):
@@ -97,3 +100,24 @@ def test_function_local_import_is_an_edge():
     tree = ast.parse("def f():\n    from .tclust import trimmed_kmeans\n")
     assert _local_imports(tree) == [(2, "from .tclust import trimmed_kmeans")]
     assert _package_imports(tree) == {"tclust"}
+
+
+def _patch_sites(tree):
+    """The literal PATCH_SITES tuple of the tracer's module."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "PATCH_SITES"
+                        for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError("PATCH_SITES not found")
+
+
+def test_every_traced_function_resolves():
+    # a site that no longer resolves reports its layer as null, which
+    # makes a traced benchmark run's result line unusable
+    sites = _patch_sites(ast.parse(TRACER.read_text(), filename=str(TRACER)))
+    assert sites
+    missing = [(module, attr) for _, module, attr in sites
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []
+

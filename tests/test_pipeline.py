@@ -16,7 +16,6 @@ from fdcluster.pipeline import (ClusterVolume, FallbackWarning, MeanFunctions,
                                 load_volume, normalize_columns, render_slice,
                                 run_two_stage, save_labels_civl,
                                 save_volume_civt)
-from fdcluster.selection import SlopeEstimationError
 
 
 def blocked_volume(nx=6, ny=5, nz=3, m=80, noise=0.4, seed=3):
@@ -431,27 +430,35 @@ class TestRunTwoStage:
         grid = TimeGrid.uniform(0.0, 1.0, 30)
         series = np.sin(2 * np.pi * grid.points)[None, :]
         vol = VolumeSeries(dims=(1, 1, 1), series=series, grid=grid)
-        cfg = RunConfig(d=6, k_set=(2,), restarts=2, seed=0, alpha=0.5)
+        cfg = RunConfig(d=6, k_set=(1,), restarts=2, seed=0, alpha=0.5)
         with pytest.warns(UserWarning):
             result = run_two_stage(vol, cfg)
         assert result.cluster_volume.labels.tolist() == [1]
         assert result.slope is None
 
-    def test_capped_candidates_warn_and_name_the_cause(self):
-        # 12 voxels, k up to 16 at alpha 0.5: k >= 7 keeps fewer points than
-        # clusters (alpha drops to 0) and k >= 13 is capped at 12, whose
-        # repeated loss flattens the slope window
+    def test_candidates_above_n_are_refused_before_stage1(self, monkeypatch):
+        # 12 voxels, k up to 16: the candidates above 12 are refused before
+        # any series is read
         vol, _ = blocked_volume(nx=2, ny=2, nz=3)
+
+        def stage1(*args):
+            raise AssertionError("stage 1 ran")
+
         cfg = RunConfig(d=8, k_set=range(2, 17), alpha=0.5, restarts=2, seed=0)
-        with pytest.warns(FallbackWarning) as record:
-            with pytest.raises(SlopeEstimationError,
-                               match=r"candidates \[13, 14, 15, 16\] exceed the 12 voxels") as err:
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "_stage1_coefficients", stage1)
+            with pytest.raises(ValueError,
+                               match=r"candidates \[13, 14, 15, 16\] exceed the 12 voxels"):
                 run_two_stage(vol, cfg)
+        # up to k = n the fit runs; alpha 0.5 keeps 6 voxels, fewer than
+        # k = 7..12 clusters, so those fall back to alpha 0 with a warning
+        cfg = RunConfig(d=8, k_set=range(2, 13), alpha=0.5, restarts=2, seed=0)
+        with pytest.warns(FallbackWarning) as record:
+            result = run_two_stage(vol, cfg)
         messages = [str(w.message) for w in record if w.category is FallbackWarning]
-        assert sum("exceeds the 12 voxels" in m for m in messages) == 4
-        assert sum("fitting with alpha=0" in m for m in messages) == 10
-        assert "extend the candidate set" not in str(err.value)
-        assert err.value.trace.k_values == list(range(2, 17))
+        assert messages == [f"k={k}: alpha=0.5 keeps 6 of 12 voxels, fewer than "
+                            f"{k} clusters: fitting with alpha=0" for k in range(7, 13)]
+        assert result.trace.k_values == list(range(2, 13))
 
     def test_normalization_neutrality_for_mean_curves(self):
         # de-normalized cluster means reconstruct the same curves as the

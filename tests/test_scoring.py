@@ -1,13 +1,14 @@
-"""Properties of the scoring kernels: the retain rule and the nearest-mean search."""
+"""Properties of the scoring kernels: the retain rule, the nearest-mean search
+and the concentration step built on them."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import fdcluster.mixtures as mixtures
-from fdcluster.mixtures import MeanModel, _sq_distances, nearest_mean
+from fdcluster.mixtures import MeanModel, _sq_distances, nearest_mean, nearest_search
 from fdcluster.tclust import TrimSpec, _retain, tclust_step
 
 SETTINGS = settings(max_examples=200, deadline=None)
@@ -94,3 +95,90 @@ def test_exact_tie_goes_to_lower_index():
     labels, dist = nearest_mean(U, M)
     np.testing.assert_array_equal(labels, [0, 0, 0])
     np.testing.assert_array_equal(dist, [1.0, 26.0, 41.0])
+
+
+@SETTINGS
+@given(grid_data())
+def test_search_estimate_is_within_its_bound(case):
+    U, M = case
+    labels, est, bound = nearest_search(U, M)
+    ref_labels, ref_dist = _reference(U, M)
+    np.testing.assert_array_equal(labels, ref_labels)
+    assert np.all(np.abs(est - ref_dist) <= bound)
+
+
+@st.composite
+def step_cases(draw):
+    """A concentration step's inputs with exact ties and empty clusters.
+
+    Rows on a 0.1 grid (optionally offset by 1e3, where the product-form
+    estimate carries cancellation error) or small integers; some rows are
+    duplicated, so whole groups tie at the retain cut; a mean may repeat an
+    earlier one (it never wins a tie) or sit far away, leaving its cluster
+    empty.
+    """
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["grid", "offset", "integers"]))
+    if kind == "integers":
+        values = st.integers(-3, 3).map(float)
+    else:
+        values = st.integers(-20, 20).map(lambda v: v / 10)
+    U = draw(hnp.arrays(np.float64, (n, d), elements=values))
+    M = draw(hnp.arrays(np.float64, (k, d), elements=values))
+    copies = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    U = np.vstack([U, U[copies]]) if copies else U
+    extra = draw(st.sampled_from(["none", "repeat", "far"]))
+    if extra == "repeat":
+        M = np.vstack([M, M[:1]])
+    elif extra == "far":
+        M = np.vstack([M, np.full((1, d), 1e4)])
+    if kind == "offset":
+        U, M = U + 1e3, M + 1e3
+    alpha = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]))
+    scale = draw(st.sampled_from([1.0, 0.37, 1e-3]))
+    return U, M, TrimSpec(alpha), scale
+
+
+def _reference_step(U, M, trim, scale):
+    """The step from exact scores of every row: `_sq_distances`, `_retain`,
+    per-cluster `mean(axis=0)`, and empty clusters reseeded at the
+    worst-scoring retained rows."""
+    model = MeanModel(M, scale)
+    n, k = U.shape[0], M.shape[0]
+    d2 = _sq_distances(U, M)
+    labels = np.argmin(d2, axis=1)
+    scores = model.log_score_const - d2[np.arange(n), labels] / (2.0 * scale)
+    h = trim.retained_count(n)
+    kept = _retain(scores, h)
+    kept_labels = labels[kept]
+    means = np.empty_like(M)
+    empty = []
+    for c in range(k):
+        members = kept[kept_labels == c]
+        if members.size:
+            means[c] = U[members].mean(axis=0)
+        else:
+            empty.append(c)
+    worst_first = kept[np.argsort(scores[kept], kind="stable")]
+    for slot, c in enumerate(empty):
+        means[c] = U[worst_first[slot % h]]
+    return means, kept, kept_labels + 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(step_cases())
+# rows 0/2 and 1/3 are equidistant from the mean (swapped coordinates), and
+# their estimates differ in the last bits: the retain cut falls in a tie
+@example((np.array([[998.6, 999.2], [998.7, 1000.9], [999.2, 998.6],
+                    [1000.9, 998.7], [1001.4, 1000.8], [1001.6, 1001.7]]),
+          np.array([[1000.0, 1000.0]]), TrimSpec(0.5), 1.0))
+def test_step_matches_the_exact_reference(case):
+    U, M, trim, scale = case
+    assume(trim.retained_count(U.shape[0]) >= M.shape[0])
+    model, kept, kept_labels = tclust_step(U, MeanModel(M, scale), trim)
+    means, ref_kept, ref_labels = _reference_step(U, M, trim, scale)
+    np.testing.assert_array_equal(kept, ref_kept)
+    np.testing.assert_array_equal(kept_labels, ref_labels)
+    np.testing.assert_array_equal(model.means, means)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdcluster.selection import (SelectionTrace, SlopeEstimationError,
                                  estimate_slope_ddse, penalty_gmm_full,
@@ -129,6 +131,21 @@ class TestSelectK:
             trace = make_trace(ks, losses)
             chosen = [select_k(trace, kappa) for kappa in (1e-4, 1e-3, 1e-2, 1e-1)]
             assert all(a >= b for a, b in zip(chosen, chosen[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12),
+           st.floats(1e-6, 1e3), st.integers(-30, 30), st.integers(1, 100))
+    def test_same_k_when_pen_scales_by_c_and_kappa_by_1_over_c(self, logliks, kappa,
+                                                               power, d):
+        # with c a power of two both scalings are exact, so every criterion
+        # value and hence the argmin (ties included) is unchanged
+        c = 2.0 ** power
+        trace = SelectionTrace(n_points=1)
+        scaled = SelectionTrace(n_points=1)
+        for k, loglik in enumerate(logliks, start=1):
+            trace.add(k, loglik, penalty_spherical(k, d))
+            scaled.add(k, loglik, c * penalty_spherical(k, d))
+        assert select_k(scaled, kappa / c) == select_k(trace, kappa)
 
     def test_rule10_penalty_increment(self):
         # kappa = 1.335e-3 at d=100: one extra cluster costs 0.267

@@ -1,7 +1,11 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_objective, exhaustive_optimum, reference_lloyd
 
@@ -31,6 +35,16 @@ class TestTrimSpec:
             TrimSpec(1.0)
         with pytest.raises(ValueError):
             TrimSpec(-0.1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 9999), st.integers(0, 10 ** 7))
+    @example(10, 1_800_001)          # a float-dust snap kept 1798201
+    def test_retained_count_is_the_exact_floor(self, digits, n):
+        # decimal alphas of up to 4 digits, the rule written in exact
+        # arithmetic on the decimal
+        alpha = digits / 10 ** 4
+        expected = math.floor(n * (1 - Fraction(digits, 10 ** 4)))
+        assert TrimSpec(alpha).retained_count(n) == expected
 
 
 # --- component_log_score -----------------------------------------------------
@@ -220,6 +234,20 @@ class TestTrimmedKmeans:
         fit = trimmed_kmeans(U, 3, TrimSpec(0.3), restarts=4, seed=5)
         nearest = kmeans_allocate(U, fit.model)
         np.testing.assert_array_equal(fit.labels[~fit.trimmed], nearest[~fit.trimmed])
+
+    def test_peak_memory_is_a_fraction_of_the_data(self):
+        # the recenter sums each cluster's rows in place (no gather of its
+        # rows), and every other temporary is per row or per block of rows
+        rng = np.random.default_rng(14)
+        U = rng.normal(size=(20000, 50))
+        U[:10000] += 3.0
+        tracemalloc.start()
+        try:
+            trimmed_kmeans(U, 2, TrimSpec(0.1), restarts=2, max_iter=5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < U.nbytes / 4
 
     def test_k_larger_than_h_rejected(self):
         with pytest.raises(ValueError):
