@@ -9,8 +9,8 @@ The package root exports what the CLI and the end-to-end pipeline are
 built from; the rest is imported from its module.
 """
 
-from .basis import (CoefSet, TimeGrid, design_matrix, detrend,
-                    make_bspline_system, ols_fit)
+from .basis import (TimeGrid, design_matrix, detrend, make_bspline_system,
+                    ols_fit)
 from .mixtures import spherical_log_likelihood
 from .pipeline import (ClusterVolume, ColumnStats, FallbackWarning,
                        MeanFunctions, RunConfig, TwoStageResult,

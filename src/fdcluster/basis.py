@@ -255,42 +255,13 @@ def detrend(series: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return resid[0] if single else resid
 
 
-def reconstruct(system: BasisSystem, b: np.ndarray, t) -> float | np.ndarray:
-    """Curve value b^T x(t) at time t (scalar or array of times)."""
-    b = np.asarray(b, dtype=float)
-    phi = evaluate_basis(system, t)
-    return phi @ b
-
-
-@dataclass
-class CoefSet:
-    """n x d matrix of per-series basis coefficients, all finite."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2:
-            raise ValueError("coefficients must form an n x d matrix")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("coefficients contain non-finite values")
-        self.values = vals
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
-
 def coef_values(B) -> np.ndarray:
-    """Accept a CoefSet or a plain (n, d) array and return the array."""
-    if isinstance(B, CoefSet):
-        return B.values
-    arr = np.asarray(B, dtype=float)
+    """Return B as a C-contiguous float64 (n, d) coefficient matrix.
+
+    An array already in that form is returned as it is; any other is copied
+    once here, so the row-major kernels downstream never copy it per call.
+    """
+    arr = np.ascontiguousarray(B, dtype=float)
     if arr.ndim != 2:
         raise ValueError("expected an n x d coefficient matrix")
     return arr
-

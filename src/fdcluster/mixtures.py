@@ -143,7 +143,8 @@ def nearest_search(U: np.ndarray,
     """Nearest mean of every row (0-based), an estimate of the squared
     distance to it, and a bound on the estimate's error.
 
-    The labels are those of `nearest_mean`. The estimate is
+    The labels are bit-identical to ``np.argmin(_sq_distances(U, means),
+    axis=1)``: ties go to the lowest index. The estimate is
     est = ||u||^2 + h_b, where h_b = ||mu_b||^2 - 2 u.mu_b is the chosen
     mean's score from one matrix product; rows rescored exactly carry their
     exact distance instead. Every row has |est - D| <= bound, where D is the
@@ -220,17 +221,6 @@ def chosen_sq_distances(U: np.ndarray, means: np.ndarray, labels: np.ndarray,
     return out
 
 
-def nearest_mean(U: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest mean of every row (0-based) and the squared distance to it.
-
-    Both are bit-identical to ``np.argmin(_sq_distances(U, means), axis=1)``
-    (ties toward the lowest index) and the distance it selects: the labels
-    come from `nearest_search`, the distances from `chosen_sq_distances`.
-    """
-    labels = nearest_search(U, means)[0]
-    return labels, chosen_sq_distances(U, means, labels)
-
-
 def spherical_log_likelihood(B, model: MeanModel) -> float:
     """Equal-weight spherical mixture log-likelihood of the coefficient set.
 
@@ -272,5 +262,5 @@ def bayes_allocate(b, params: GmmParams):
 def kmeans_allocate(b, model: MeanModel):
     """Nearest-mean cluster index (1-based); ties toward the lowest index."""
     arr = np.asarray(b, dtype=float)
-    labels = nearest_mean(np.atleast_2d(arr), model.means)[0] + 1
+    labels = nearest_search(np.atleast_2d(arr), model.means)[0] + 1
     return int(labels[0]) if arr.ndim == 1 else labels

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (CoefSet, TimeGrid, design_matrix, detrend,
+from .basis import (TimeGrid, coef_values, design_matrix, detrend,
                     make_bspline_system, ols_fit)
 from .mixtures import spherical_log_likelihood
 from .selection import (PENALTIES, SelectionTrace, SlopeEstimate,
@@ -136,6 +136,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be a number")
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError("lam must be a positive finite number")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         try:
             entries = tuple(self.k_set)
         except TypeError:
@@ -190,7 +192,6 @@ class MeanFunctions:
 
     grid: TimeGrid
     values: np.ndarray       # (k, m)
-    coef_means: np.ndarray   # (k, d) de-normalized coefficient means
 
 
 @dataclass
@@ -204,13 +205,13 @@ class ColumnStats:
         return np.asarray(rows, dtype=float) * self.sds + self.means
 
 
-def normalize_columns(B: CoefSet) -> tuple[CoefSet, ColumnStats]:
-    """Z-score each coefficient column (sample SD, ddof=1).
+def normalize_columns(B) -> tuple[np.ndarray, ColumnStats]:
+    """Z-score each coefficient column (sample SD, ddof=1) of an n x d matrix.
 
     Zero-variance columns are centered only and recorded with scale 1 so
     de-normalization is exact.
     """
-    values = B.values
+    values = coef_values(B)
     if values.shape[0] < 2:
         raise ValueError("normalization needs at least two series")
     means = values.mean(axis=0)
@@ -219,7 +220,7 @@ def normalize_columns(B: CoefSet) -> tuple[CoefSet, ColumnStats]:
     normalized = values - means
     normalized /= sds           # in place: one n x d copy besides the input
     stats = ColumnStats(means=means, sds=sds)
-    return CoefSet(values=normalized), stats
+    return normalized, stats
 
 
 # ---------------------------------------------------------------------------
@@ -488,17 +489,17 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig) -> TwoStageResult:
                          "remove them from the candidate set")
     system = make_bspline_system((vol.grid.t_lo, vol.grid.t_hi), cfg.d)
     design = design_matrix(system, vol.grid)
-    coefs = CoefSet(_stage1_coefficients(vol, design, cfg.detrend))
+    coefs = _stage1_coefficients(vol, design, cfg.detrend)
 
+    n = coefs.shape[0]
     stats = None
     if cfg.normalize:
-        if coefs.n < 2:
+        if n < 2:
             warnings.warn("fewer than two series: skipping column normalization",
                           FallbackWarning)
         else:
             coefs, stats = normalize_columns(coefs)
 
-    n = coefs.n
     pen = PENALTIES[cfg.penalty]
     k_seqs = np.random.SeedSequence(cfg.seed).spawn(len(cfg.k_set))
     trace = SelectionTrace(n_points=n)
@@ -512,10 +513,10 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig) -> TwoStageResult:
                           FallbackWarning)
             trim = TrimSpec(0.0)
         t0 = time.perf_counter()
-        fit = trimmed_kmeans(coefs.values, k, trim,
+        fit = trimmed_kmeans(coefs, k, trim,
                              restarts=cfg.restarts, max_iter=cfg.max_iter,
                              seed=seed_int(seq), scale=cfg.lam)
-        loglik = spherical_log_likelihood(coefs.values, fit.model)
+        loglik = spherical_log_likelihood(coefs, fit.model)
         trace.add(k, loglik, pen(k, cfg.d), time.perf_counter() - t0)
         fits[k] = fit
 
@@ -531,15 +532,14 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig) -> TwoStageResult:
         k_hat = select_k(trace, slope.kappa)
 
     fit = fits[k_hat]
-    labels = allocate_all(coefs.values, fit)
+    labels = allocate_all(coefs, fit)
     cluster_volume = ClusterVolume(dims=vol.dims, labels=labels,
                                    trimmed=fit.trimmed, k=fit.k)
     coef_means = fit.model.means
     if stats is not None:
         coef_means = stats.denormalize_rows(coef_means)
     curves = coef_means @ design.matrix.T
-    mean_functions = MeanFunctions(grid=vol.grid, values=curves,
-                                   coef_means=coef_means)
+    mean_functions = MeanFunctions(grid=vol.grid, values=curves)
     return TwoStageResult(cluster_volume=cluster_volume,
                           mean_functions=mean_functions, trace=trace,
                           slope=slope, k_hat=k_hat, fits=fits, stats=stats)

@@ -19,7 +19,7 @@ from scipy.sparse import csr_matrix
 
 from .basis import coef_values
 from .mixtures import (MeanModel, chosen_sq_distances, kmeans_allocate,
-                       nearest_mean, nearest_search)
+                       nearest_search)
 
 
 @dataclass(frozen=True)
@@ -59,23 +59,9 @@ class ClusterFit:
         return self.model.k
 
 
-def component_log_score(u: np.ndarray, model: MeanModel, c: int) -> float:
-    """log of (1/k) N(u; mu_c, scale * I) for the 1-based component c."""
-    if not 1 <= c <= model.k:
-        raise ValueError(f"component {c} outside 1..{model.k}")
-    diff = np.asarray(u, dtype=float) - model.means[c - 1]
-    return model.log_score_const - float(diff @ diff) / (2.0 * model.scale)
-
-
 def _scores(model: MeanModel, d2: np.ndarray) -> np.ndarray:
     """Log-scores of points at squared distances d2 from their component."""
     return model.log_score_const - d2 / (2.0 * model.scale)
-
-
-def _best_scores(U: np.ndarray, model: MeanModel):
-    """Per-point best log-score and its achieving 1-based component."""
-    labels, d2 = nearest_mean(U, model.means)
-    return _scores(model, d2), labels + 1
 
 
 def _retain(scores: np.ndarray, h: int) -> np.ndarray:
@@ -130,12 +116,13 @@ def _certified_retain(U: np.ndarray, model: MeanModel, labels: np.ndarray,
 def _classify(U: np.ndarray, model: MeanModel, h: int):
     """Nearest-mean labels of every point, trim flags, and the trimmed objective."""
     n = U.shape[0]
-    scores, labels = _best_scores(U, model)
+    labels = nearest_search(U, model.means)[0]
+    scores = _scores(model, chosen_sq_distances(U, model.means, labels))
     kept = _retain(scores, h)
     trimmed = np.ones(n, dtype=bool)
     trimmed[kept] = False
     objective = float(np.sum(scores[kept])) / n
-    return labels, trimmed, objective
+    return labels + 1, trimmed, objective
 
 
 def tclust_objective(U, model: MeanModel, trim: TrimSpec) -> float:

@@ -14,7 +14,7 @@ from oracles import (contingency_ari, exhaustive_optimum, pair_counting_ari,
                      reference_lloyd)
 
 import fdcluster as fd
-from fdcluster.basis import (CoefSet, TimeGrid, design_matrix, evaluate_basis,
+from fdcluster.basis import (TimeGrid, design_matrix, evaluate_basis,
                              make_bspline_system, ols_fit)
 from fdcluster.cli import main
 from fdcluster.mixtures import spherical_log_likelihood
@@ -190,12 +190,12 @@ def test_c08_model_selection_recovers_k5():
     for s in range(20):
         cfg = SimConfig("S1", n=5000, m=100, seed=81_000 + s)
         data = simulate_study(cfg)
-        coefs, _ = normalize_columns(CoefSet(stage1_coefs(cfg, data)))
+        coefs, _ = normalize_columns(stage1_coefs(cfg, data))
         trace = SelectionTrace(n_points=cfg.n)
         for k in range(2, 11):
-            fit = trimmed_kmeans(coefs.values, k, TrimSpec(0.0), restarts=10,
+            fit = trimmed_kmeans(coefs, k, TrimSpec(0.0), restarts=10,
                                  seed=s * 100 + k, scale=0.1)
-            trace.add(k, spherical_log_likelihood(coefs.values, fit.model),
+            trace.add(k, spherical_log_likelihood(coefs, fit.model),
                       penalty_spherical(k, cfg.d_gen))
         try:
             slope = estimate_slope_ddse(trace)

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
-from fdcluster.basis import (CoefSet, DesignMatrix, TimeGrid, design_matrix,
+from fdcluster.basis import (DesignMatrix, TimeGrid, coef_values, design_matrix,
                              detrend, evaluate_basis, make_bspline_system,
-                             ols_fit, reconstruct)
+                             ols_fit)
 
 
 def scipy_basis(system, ts):
@@ -223,33 +223,16 @@ class TestDetrend:
             detrend(np.array([1.0]), grid)
 
 
-class TestReconstruct:
-    def test_all_ones_coefficients_give_one(self):
-        system = make_bspline_system((0.0, 1.0), 15)
-        ts = np.random.default_rng(7).uniform(0, 1, 50)
-        np.testing.assert_allclose(reconstruct(system, np.ones(15), ts), 1.0,
-                                   atol=1e-12)
-
-    def test_zero_coefficients_give_zero(self):
-        system = make_bspline_system((0.0, 1.0), 6)
-        assert reconstruct(system, np.zeros(6), 0.3) == 0.0
-
-    def test_round_trip_through_ols(self):
-        system = make_bspline_system((0.0, 1.0), 9)
-        grid = TimeGrid.uniform(0.0, 1.0, 80)
-        design = design_matrix(system, grid)
-        rng = np.random.default_rng(8)
-        b = rng.normal(size=9)
-        curve = design.matrix @ b
-        fitted = ols_fit(design, curve)
-        recon = reconstruct(system, fitted, grid.points)
-        np.testing.assert_allclose(recon, curve, atol=1e-8)
-
-
-class TestCoefSet:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            CoefSet(values=np.array([[1.0, np.nan]]))
+def test_coef_values_returns_a_c_contiguous_float64_matrix():
+    # the stage-2 kernels read rows; a Fortran-ordered input is copied once
+    # here, and a C-ordered float64 one is passed through without a copy
+    U = np.random.default_rng(9).normal(size=(20, 3))
+    out = coef_values(np.asfortranarray(U))
+    assert out.flags.c_contiguous and out.dtype == np.float64
+    np.testing.assert_array_equal(out, U)
+    assert coef_values(U) is U
+    with pytest.raises(ValueError):
+        coef_values(U[0])
 
 
 @settings(max_examples=100, deadline=None)

@@ -105,6 +105,25 @@ def test_fit_lambda_not_positive_is_rejected_before_the_run(tmp_path, blocked_ci
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("config, flags", [
+    ({"seed": -1}, []), ({}, ["--seed", "-1"]),
+], ids=["seed -1", "--seed -1"])
+def test_fit_negative_seed_is_rejected_before_stage1(tmp_path, blocked_civt, capsys,
+                                                     monkeypatch, config, flags):
+    def stage1(*args):
+        raise AssertionError("stage 1 ran")
+
+    monkeypatch.setattr(pipeline, "_stage1_coefficients", stage1)
+    vol_path, _ = blocked_civt
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"d": 10, "k_set": [3], "restarts": 2, **config}))
+    rc = main(["fit", "--input", str(vol_path), "--format", "civt",
+               "--config", str(cfg_path), *flags, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_fit_non_finite_value_in_the_last_block_is_validation_error(tmp_path, capsys):
     # the volume is checked block by block as stage 1 reads it; the bad value
     # sits in the last voxel, after several full blocks

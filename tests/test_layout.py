@@ -1,6 +1,6 @@
-"""Module layout of the package: imports sit at module level, the
-intra-package import graph has no cycle, and every function the benchmark's
-tracer wraps is where it looks for it."""
+"""Module layout of the package: imports sit at module level, every imported
+name is used, the intra-package import graph has no cycle, and every function
+the benchmark's tracer wraps is where it looks for it."""
 
 import ast
 import importlib
@@ -48,6 +48,19 @@ def _package_imports(tree):
     return targets
 
 
+def _unused_imports(tree):
+    """Names a module imports but never reads (``__future__`` features aside)."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
 def _find_cycle(graph):
     """One import cycle as a list of module names, or None."""
     done, path = set(), []
@@ -82,6 +95,19 @@ def test_no_import_inside_a_function():
     local = {name: found for name, tree in MODULES.items()
              if (found := _local_imports(tree))}
     assert local == {}
+
+
+def test_every_imported_name_is_used():
+    # the package root re-exports what it imports, so it is not checked
+    unused = {name: found for name, tree in MODULES.items()
+              if name != "__init__" and (found := _unused_imports(tree))}
+    assert unused == {}
+
+
+def test_unused_import_finder():
+    tree = ast.parse("from __future__ import annotations\nimport os, numpy as np\n"
+                     "from .mixtures import a, b as c\nnp.zeros(c())\n")
+    assert _unused_imports(tree) == ["a", "os"]
 
 
 def test_import_graph_has_no_cycle():

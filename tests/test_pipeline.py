@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fdcluster import pipeline
-from fdcluster.basis import CoefSet, TimeGrid, design_matrix, make_bspline_system
+from fdcluster.basis import TimeGrid, design_matrix, make_bspline_system
 from fdcluster.pipeline import (ClusterVolume, FallbackWarning, MeanFunctions,
                                 RunConfig, VolumeSeries, export_cluster_map,
                                 export_mean_functions, load_labels_civl,
@@ -264,27 +264,27 @@ def test_civl_round_trip_for_any_small_dims(dims, k, data):
 class TestNormalizeColumns:
     def test_zero_mean_unit_sd(self):
         rng = np.random.default_rng(2)
-        coefs = CoefSet(rng.normal(3.0, 2.0, size=(50, 4)))
+        coefs = rng.normal(3.0, 2.0, size=(50, 4))
         normed, stats = normalize_columns(coefs)
-        assert np.abs(normed.values.mean(axis=0)).max() < 1e-10
-        assert np.abs(normed.values.std(axis=0, ddof=1) - 1.0).max() < 1e-10
+        assert np.abs(normed.mean(axis=0)).max() < 1e-10
+        assert np.abs(normed.std(axis=0, ddof=1) - 1.0).max() < 1e-10
 
     def test_constant_column_centered_with_unit_scale(self):
         values = np.column_stack([np.full(10, 7.0), np.arange(10.0)])
-        normed, stats = normalize_columns(CoefSet(values))
-        assert np.all(normed.values[:, 0] == 0.0)
+        normed, stats = normalize_columns(values)
+        assert np.all(normed[:, 0] == 0.0)
         assert stats.sds[0] == 1.0
 
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         values = rng.normal(size=(30, 5)) * [1, 10, 100, 0.1, 1]
-        normed, stats = normalize_columns(CoefSet(values))
-        back = stats.denormalize_rows(normed.values)
+        normed, stats = normalize_columns(values)
+        back = stats.denormalize_rows(normed)
         np.testing.assert_allclose(back, values, atol=1e-10)
 
     def test_single_row_rejected(self):
         with pytest.raises(ValueError):
-            normalize_columns(CoefSet(np.ones((1, 3))))
+            normalize_columns(np.ones((1, 3)))
 
 
 class TestClusterMapExport:
@@ -327,8 +327,7 @@ class TestClusterMapExport:
 class TestMeanFunctionExport:
     def test_zero_coefficients_zero_curve(self, tmp_path):
         grid = TimeGrid.uniform(0, 1, 5)
-        mf = MeanFunctions(grid=grid, values=np.zeros((1, 5)),
-                           coef_means=np.zeros((1, 8)))
+        mf = MeanFunctions(grid=grid, values=np.zeros((1, 5)))
         path = tmp_path / "means.csv"
         export_mean_functions(mf, path)
         lines = path.read_text().strip().splitlines()
@@ -342,7 +341,7 @@ class TestMeanFunctionExport:
         rng = np.random.default_rng(5)
         coef_means = rng.normal(size=(3, 7))
         values = coef_means @ design.matrix.T
-        mf = MeanFunctions(grid=grid, values=values, coef_means=coef_means)
+        mf = MeanFunctions(grid=grid, values=values)
         path = tmp_path / "means.csv"
         export_mean_functions(mf, path)
         rows = [line.split(",") for line in path.read_text().strip().splitlines()[1:]]

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import fdcluster.mixtures as mixtures
-from fdcluster.mixtures import MeanModel, _sq_distances, nearest_mean, nearest_search
+from fdcluster.mixtures import (MeanModel, _sq_distances, chosen_sq_distances,
+                                kmeans_allocate, nearest_search)
 from fdcluster.tclust import TrimSpec, _retain, tclust_step
 
 SETTINGS = settings(max_examples=200, deadline=None)
@@ -58,10 +59,12 @@ def _reference(U, M):
 @given(grid_data())
 def test_nearest_mean_matches_exact_argmin(case):
     U, M = case
-    labels, dist = nearest_mean(U, M)
+    labels = nearest_search(U, M)[0]
+    dist = chosen_sq_distances(U, M, labels)
     ref_labels, ref_dist = _reference(U, M)
     np.testing.assert_array_equal(labels, ref_labels)
     np.testing.assert_array_equal(dist, ref_dist)
+    np.testing.assert_array_equal(kmeans_allocate(U, MeanModel(M)), ref_labels + 1)
 
 
 @SETTINGS
@@ -84,7 +87,8 @@ def test_nearest_mean_does_not_depend_on_block_size(monkeypatch, rows):
     M = np.round(rng.normal(size=(4, 5)), 1) + 1e3
     expected = _reference(U, M)
     monkeypatch.setattr(mixtures, "_NEAREST_ROWS", rows)
-    labels, dist = nearest_mean(U, M)
+    labels = nearest_search(U, M)[0]
+    dist = chosen_sq_distances(U, M, labels)
     np.testing.assert_array_equal(labels, expected[0])
     np.testing.assert_array_equal(dist, expected[1])
 
@@ -92,7 +96,8 @@ def test_nearest_mean_does_not_depend_on_block_size(monkeypatch, rows):
 def test_exact_tie_goes_to_lower_index():
     M = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
     U = np.array([[0.0, 0.0], [0.0, -5.0], [5.0, 5.0]])
-    labels, dist = nearest_mean(U, M)
+    labels = nearest_search(U, M)[0]
+    dist = chosen_sq_distances(U, M, labels)
     np.testing.assert_array_equal(labels, [0, 0, 0])
     np.testing.assert_array_equal(dist, [1.0, 26.0, 41.0])
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from oracles import brute_objective, exhaustive_optimum, reference_lloyd
 
 from fdcluster.mixtures import MeanModel, kmeans_allocate
-from fdcluster.tclust import (TrimSpec, allocate_all, component_log_score,
-                              tclust_objective, tclust_step, trimmed_kmeans)
+from fdcluster.tclust import (TrimSpec, allocate_all, tclust_objective, tclust_step,
+                              trimmed_kmeans)
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -45,32 +45,6 @@ class TestTrimSpec:
         alpha = digits / 10 ** 4
         expected = math.floor(n * (1 - Fraction(digits, 10 ** 4)))
         assert TrimSpec(alpha).retained_count(n) == expected
-
-
-# --- component_log_score -----------------------------------------------------
-
-class TestComponentLogScore:
-    def test_at_mean_single_component(self):
-        model = MeanModel(np.zeros((1, 4)))
-        assert component_log_score(np.zeros(4), model, 1) == pytest.approx(-2 * LOG_2PI)
-
-    def test_argmax_matches_kmeans_allocate(self):
-        rng = np.random.default_rng(0)
-        model = MeanModel(rng.normal(size=(4, 3)))
-        for u in rng.normal(size=(50, 3)):
-            scores = [component_log_score(u, model, c) for c in range(1, 5)]
-            assert int(np.argmax(scores)) + 1 == kmeans_allocate(u, model)
-
-    def test_plug_in_arithmetic(self):
-        # d=2, lam=1, k=2, squared distance 4
-        model = MeanModel(np.array([[0.0, 0.0], [9.0, 9.0]]))
-        val = component_log_score(np.array([2.0, 0.0]), model, 1)
-        assert val == pytest.approx(-math.log(2) - LOG_2PI - 2.0, abs=1e-12)
-
-    def test_component_out_of_range(self):
-        model = MeanModel(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            component_log_score(np.zeros(2), model, 3)
 
 
 # --- tclust_objective --------------------------------------------------------
@@ -248,6 +222,17 @@ class TestTrimmedKmeans:
         finally:
             tracemalloc.stop()
         assert peak < U.nbytes / 4
+
+    def test_fortran_ordered_input_gives_the_same_fit(self):
+        rng = np.random.default_rng(15)
+        U = rng.normal(size=(600, 7))
+        U[:300] += 2.0
+        c = trimmed_kmeans(U, 3, TrimSpec(0.1), restarts=3, seed=4)
+        f = trimmed_kmeans(np.asfortranarray(U), 3, TrimSpec(0.1), restarts=3, seed=4)
+        np.testing.assert_array_equal(f.labels, c.labels)
+        np.testing.assert_array_equal(f.trimmed, c.trimmed)
+        np.testing.assert_array_equal(f.model.means, c.model.means)
+        assert f.objective == c.objective
 
     def test_k_larger_than_h_rejected(self):
         with pytest.raises(ValueError):
