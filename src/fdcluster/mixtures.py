@@ -23,9 +23,15 @@ LOG_2PI = math.log(2.0 * math.pi)
 # accumulation order (hence bit-level output) never depends on input size.
 _CHUNK = 1 << 15
 
-# Rows per block of the nearest-mean kernel, so that a block's scores and
-# differences stay in cache; every result is per row and does not depend on it.
+# Rows per block of the nearest-mean kernel and the log-likelihood, so that a
+# block's scores and differences stay in cache; every result is per row and
+# does not depend on it.
 _NEAREST_ROWS = 1024
+
+# Scores per block of a batched nearest-mean search: a batch of R models
+# scores k R per row, so its blocks hold fewer rows, and its temporaries do
+# not grow with R.
+_BLOCK_SCORES = 1 << 16
 
 
 @dataclass
@@ -61,10 +67,11 @@ class MeanModel:
 
     Finalized models keep their means in lexicographic row order so that
     labels are comparable across runs; intermediate iterates need not be
-    ordered.
+    ordered. The iterates of R restarts fitted together share one model
+    whose means are (R, k, d).
     """
 
-    means: np.ndarray        # (k, d)
+    means: np.ndarray        # (k, d), or (R, k, d) for R restarts
     scale: float = 1.0       # shared spherical variance (lambda)
 
     def __post_init__(self):
@@ -74,11 +81,11 @@ class MeanModel:
 
     @property
     def k(self) -> int:
-        return self.means.shape[0]
+        return self.means.shape[-2]
 
     @property
     def d(self) -> int:
-        return self.means.shape[1]
+        return self.means.shape[-1]
 
     @property
     def log_score_const(self) -> float:
@@ -138,17 +145,30 @@ def _sq_distances(U: np.ndarray, means: np.ndarray) -> np.ndarray:
     return out
 
 
-def nearest_search(U: np.ndarray,
-                   means: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def nearest_search(U: np.ndarray, means: np.ndarray, u_sq: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
     """Nearest mean of every row (0-based), an estimate of the squared
     distance to it, and a bound on the estimate's error.
 
+    `means` is one model's (k, d) means, or the (R, k, d) means of R models
+    searched together; the outputs then carry a leading axis of length R
+    (labels and estimates (R, n), one bound per model). `u_sq` holds the
+    rows' squared norms when the caller has them.
+
     The labels are bit-identical to ``np.argmin(_sq_distances(U, means),
-    axis=1)``: ties go to the lowest index. The estimate is
+    axis=1)`` for each model: ties go to the lowest index. The estimate is
     est = ||u||^2 + h_b, where h_b = ||mu_b||^2 - 2 u.mu_b is the chosen
     mean's score from one matrix product; rows rescored exactly carry their
     exact distance instead. Every row has |est - D| <= bound, where D is the
     difference-form distance `chosen_sq_distances` returns for its label.
+
+    The models' means are stacked k-major, row c * R + r holding mean c of
+    model r, so one product per block of rows (at most 1024 rows and 2^16
+    scores) scores every model, and the (k, R * rows) score block is
+    reduced along its leading axis, over contiguous memory: the best score,
+    then the number of scores within the recheck tolerance of it and the
+    sum of their indices. A row with one such score takes its index as the
+    label; the others are rescored exactly.
 
     Rounding bound. Let S = ||u||^2 + max_c ||mu_c||^2 and g = (d + 3) eps
     with eps = 2^-53. The product scores h_c err by at most 2gS (the dot
@@ -159,10 +179,11 @@ def nearest_search(U: np.ndarray,
 
     Labels: if the exact rule picks a and the search picks b != a, then
     0 <= h_a - h_b <= (D_a - D_b) + 8gS <= 8gS, so the two best scores lie
-    within 8gS of each other. Rows whose gap is at most rtol * S, with S as
-    computed and rtol = max(1e-10, 16g), are rescored exactly with
-    `_sq_distances`, exact ties included; rtol is at least twice the bound,
-    which covers the rounding of the computed S.
+    within 8gS of each other. Rows with a second score at most
+    best + rtol * S, with S as computed and rtol = max(1e-10, 16g), are
+    rescored exactly with `_sq_distances`, exact ties included; rtol is at
+    least twice the bound, which covers the rounding of the computed S and
+    of best + rtol * S (|best| <= 2S).
 
     Estimate: the computed ||u||^2 errs by at most gS and the addition of
     h_b by at most eps (||u||^2 + |h_b|) <= 3 eps S <= gS, so
@@ -170,37 +191,53 @@ def nearest_search(U: np.ndarray,
     8g (max_i ||u_i||^2 + max_c ||mu_c||^2), covers every row and the
     rounding of the computed maxima.
     """
-    n, d = U.shape
-    mu_sq = np.einsum("ij,ij->i", means, means)
-    mu_max = float(mu_sq.max())
-    neg2_means = -2.0 * means
+    single = means.ndim == 2
+    M = means[None] if single else means
+    R, k, d = M.shape
+    n = U.shape[0]
+    stacked = M.transpose(1, 0, 2).reshape(k * R, d)
+    mu_sq = np.einsum("ij,ij->i", stacked, stacked)
+    mu_max = mu_sq.reshape(k, R).max(axis=0)
+    neg2_means = -2.0 * stacked
     g = (d + 3) * 2.0 ** -53
     rtol = max(1e-10, 16.0 * g)
-    labels = np.empty(n, dtype=np.intp)
-    est = np.empty(n)
+    # a row's near scores are counted, and their indices added up, in the
+    # smallest type that holds k: a sum over several indices may wrap, but
+    # such rows are rescored anyway
+    small = np.min_scalar_type(k)
+    index = np.arange(k, dtype=small)[:, None]
+    labels = np.empty((R, n), dtype=np.intp)
+    est = np.empty((R, n))
     u_max = 0.0
-    for lo in range(0, n, _NEAREST_ROWS):
-        block = U[lo:lo + _NEAREST_ROWS]
-        rows = np.arange(block.shape[0])
-        # column-major scores: the row-wise min below then runs over k
-        # contiguous columns instead of n short rows
-        scores = (neg2_means @ block.T).T
-        scores += mu_sq
-        lab = np.argmin(scores, axis=1)
-        best = scores[rows, lab]
-        scores[rows, lab] = np.inf
-        gap = scores.min(axis=1) - best
-        u_sq = np.einsum("ij,ij->i", block, block)
-        near = np.flatnonzero(gap <= rtol * (u_sq + mu_max))
-        best += u_sq
+    rows = max(1, min(_NEAREST_ROWS, _BLOCK_SCORES // (k * R)))
+    for lo in range(0, n, rows):
+        block = U[lo:lo + rows]
+        b = block.shape[0]
+        scores = neg2_means @ block.T
+        scores += mu_sq[:, None]
+        scores = scores.reshape(k, R * b)
+        best = scores.min(axis=0)
+        # without u_sq, the norms are computed here while the block is in cache
+        u_blk = np.einsum("ij,ij->i", block, block) if u_sq is None else u_sq[lo:lo + b]
+        u_max = max(u_max, float(u_blk.max()))
+        tol = rtol * (u_blk + mu_max[:, None])
+        close = (scores <= best + tol.ravel()).view(np.uint8)
+        lab = np.add.reduce(close * index, axis=0, dtype=small)
+        near = np.flatnonzero(np.add.reduce(close, axis=0, dtype=small) > 1)
+        best += np.tile(u_blk, R)
         if near.size:
-            exact = _sq_distances(block[near], means)
-            lab[near] = np.argmin(exact, axis=1)
-            best[near] = exact[np.arange(near.size), lab[near]]
-        u_max = max(u_max, float(u_sq.max()))
-        labels[lo:lo + _NEAREST_ROWS] = lab
-        est[lo:lo + _NEAREST_ROWS] = best
-    return labels, est, 8.0 * g * (u_max + mu_max)
+            owner, row = np.divmod(near, b)
+            for r in np.unique(owner):
+                mine = near[owner == r]
+                exact = _sq_distances(block[row[owner == r]], M[r])
+                lab[mine] = np.argmin(exact, axis=1)
+                best[mine] = exact[np.arange(mine.size), lab[mine]]
+        labels[:, lo:lo + b] = lab.reshape(R, b)
+        est[:, lo:lo + b] = best.reshape(R, b)
+    bound = 8.0 * g * (u_max + mu_max)
+    if single:
+        return labels[0], est[0], float(bound[0])
+    return labels, est, bound
 
 
 def chosen_sq_distances(U: np.ndarray, means: np.ndarray, labels: np.ndarray,
@@ -236,10 +273,10 @@ def spherical_log_likelihood(B, model: MeanModel) -> float:
         raise ValueError("dimension mismatch between coefficients and means")
     const, lam = model.log_score_const, model.scale
     rows = np.empty(U.shape[0])
-    for lo in range(0, U.shape[0], _CHUNK):
-        chunk = U[lo:lo + _CHUNK]
-        scores = const - _sq_distances(chunk, model.means) / (2.0 * lam)
-        rows[lo:lo + _CHUNK] = logsumexp(scores, axis=1)
+    for lo in range(0, U.shape[0], _NEAREST_ROWS):
+        block = U[lo:lo + _NEAREST_ROWS]
+        scores = const - _sq_distances(block, model.means) / (2.0 * lam)
+        rows[lo:lo + _NEAREST_ROWS] = logsumexp(scores, axis=1)
     return math.fsum(rows)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .basis import coef_values
-from .mixtures import (MeanModel, chosen_sq_distances, kmeans_allocate,
+from .mixtures import (_CHUNK, MeanModel, chosen_sq_distances, kmeans_allocate,
                        nearest_search)
 
 
@@ -78,17 +78,19 @@ def _retain(scores: np.ndarray, h: int) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _certified_retain(U: np.ndarray, model: MeanModel, labels: np.ndarray,
-                      est: np.ndarray, bound: float, h: int) -> np.ndarray:
-    """`_retain` of the exact best scores, from estimated distances.
+def _certified_retain(U: np.ndarray, model: MeanModel, h: int,
+                      u_sq: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """`_retain` of each restart's exact best scores, from estimated distances.
 
-    `est` and `bound` come from `nearest_search`: each row's chosen
-    difference-form distance D lies within `bound` of `est`, so the h-th
-    smallest estimate, `cut`, lies within `bound` of the h-th smallest D.
-    With w = 2 bound + margin, a row with est < cut - w has a D more than
-    the margin below that h-th D, and a row with est > cut + w has one more
-    than the margin above it. Two distances D1 < D2 get strictly ordered
-    scores const - D / t (t = 2 scale) once
+    `model` holds the (R, k, d) means of R restarts. Returns the (R, h) kept
+    rows in ascending order and their 0-based nearest means. For one
+    restart: `nearest_search` gives each row's label, an estimate `est` and
+    a `bound` such that the chosen difference-form distance D lies within
+    `bound` of `est`, so the h-th smallest estimate, `cut`, lies within
+    `bound` of the h-th smallest D. With w = 2 bound + margin, a row with
+    est < cut - w has a D more than the margin below that h-th D, and a row
+    with est > cut + w has one more than the margin above it. Two distances
+    D1 < D2 get strictly ordered scores const - D / t (t = 2 scale) once
     D2 - D1 > 2.01 eps (D1 + D2) + 2 eps t |const|, since D / t and the
     subtraction each round by eps of their size; the margin,
     16 eps (|cut| + bound + t |const|), exceeds that near the cut and also
@@ -99,24 +101,29 @@ def _certified_retain(U: np.ndarray, model: MeanModel, labels: np.ndarray,
     `_retain` picks the rest of the h from them in ascending index order
     (all of them when they are exactly that many).
     """
-    cut = np.partition(est, h - 1)[h - 1]
+    labels, est, bound = nearest_search(U, model.means, u_sq)
+    cut = np.partition(est, h - 1, axis=1)[:, h - 1]
     t = 2.0 * model.scale
-    margin = 16.0 * 2.0 ** -53 * (abs(cut) + bound + t * abs(model.log_score_const))
+    margin = 16.0 * 2.0 ** -53 * (np.abs(cut) + bound + t * abs(model.log_score_const))
     w = 2.0 * bound + margin
-    keep = est < cut - w
-    band = np.flatnonzero((est <= cut + w) & ~keep)
-    need = h - np.count_nonzero(keep)
-    if band.size > need:
-        d2 = chosen_sq_distances(U, model.means, labels[band], band)
-        band = band[_retain(_scores(model, d2), need)]
-    keep[band] = True
-    return np.flatnonzero(keep)
+    keep = est < (cut - w)[:, None]
+    band = (est <= (cut + w)[:, None]) & ~keep
+    need = h - np.count_nonzero(keep, axis=1)
+    for r in np.flatnonzero(np.count_nonzero(band, axis=1) > need):
+        rows = np.flatnonzero(band[r])
+        d2 = chosen_sq_distances(U, model.means[r], labels[r, rows], rows)
+        band[r, rows] = False
+        band[r, rows[_retain(_scores(model, d2), need[r])]] = True
+    keep |= band
+    kept = np.flatnonzero(keep).reshape(-1, h)
+    kept -= keep.shape[1] * np.arange(kept.shape[0])[:, None]
+    return kept, np.take_along_axis(labels, kept, axis=1)
 
 
-def _classify(U: np.ndarray, model: MeanModel, h: int):
+def _classify(U: np.ndarray, model: MeanModel, h: int, u_sq: np.ndarray | None = None):
     """Nearest-mean labels of every point, trim flags, and the trimmed objective."""
     n = U.shape[0]
-    labels = nearest_search(U, model.means)[0]
+    labels = nearest_search(U, model.means, u_sq)[0]
     scores = _scores(model, chosen_sq_distances(U, model.means, labels))
     kept = _retain(scores, h)
     trimmed = np.ones(n, dtype=bool)
@@ -139,39 +146,48 @@ def tclust_objective(U, model: MeanModel, trim: TrimSpec) -> float:
     return _classify(U, model, h)[2]
 
 
-def tclust_step(U, model: MeanModel,
-                trim: TrimSpec) -> tuple[MeanModel, np.ndarray, np.ndarray]:
-    """One concentration step: retain, split by nearest mean, recenter.
+def tclust_step(U, model: MeanModel, h: int, u_sq: np.ndarray | None = None
+                ) -> tuple[MeanModel, np.ndarray, np.ndarray]:
+    """One concentration step: retain h rows, split by nearest mean, recenter.
 
     Returns the updated model, the ascending indices of the retained
     points and their 1-based clusters; `trimmed_kmeans` stops when the
     last two repeat. Clusters left empty by the split are re-seeded at the
     worst-scoring retained points (successively, in cluster order), which
-    keeps the update deterministic.
+    keeps the update deterministic. A model with (R, k, d) means steps R
+    restarts at once: the kept rows and clusters are then (R, h), and each
+    restart's result is the one it gets alone. `u_sq` holds the rows'
+    squared norms when the caller has them.
     """
     U = coef_values(U)
     n, d = U.shape
-    h = trim.retained_count(n)
-    if h < model.k:
+    k = model.k
+    if h < k:
         raise ValueError("retained count is smaller than the cluster count")
+    single = model.means.ndim == 2
+    if single:
+        model = MeanModel(model.means[None], model.scale)
+    means = model.means
+    R = means.shape[0]
 
-    labels, est, bound = nearest_search(U, model.means)
-    kept = _certified_retain(U, model, labels, est, bound, h)
-    lab = labels[kept]
+    kept, lab = _certified_retain(U, model, h, u_sq)
 
-    # one stable sort (a radix sort on the small label type) lays out each
-    # cluster's members contiguously and in ascending index order; the
-    # one-hot k x n CSR product then adds each cluster's rows in that order,
-    # from zero, as U[members].sum(axis=0) does, without copying them
-    counts = np.bincount(lab, minlength=model.k)
-    members = kept[np.argsort(lab.astype(np.min_scalar_type(model.k)), kind="stable")]
+    # one stable sort (a radix sort on the small key type) lays out each
+    # (restart, cluster)'s members contiguously and in ascending index order;
+    # the one-hot (R k) x n CSR product then adds each cluster's rows in that
+    # order, from zero, as U[members].sum(axis=0) does, without copying them
+    key = lab.astype(np.min_scalar_type(R * k))
+    key += (k * np.arange(R, dtype=key.dtype))[:, None]
+    key = key.ravel()
+    counts = np.bincount(key, minlength=R * k)
+    members = kept.ravel()[np.argsort(key, kind="stable")]
     indptr = np.concatenate(([0], np.cumsum(counts)))
     if d > 1:
         # scipy stores the indices as int32 when they fit, and checks and
         # converts wider ones on every construction
         idx = np.int32 if n <= np.iinfo(np.int32).max else np.intp
-        onehot = csr_matrix((np.ones(h), members.astype(idx), indptr.astype(idx)),
-                            shape=(model.k, n))
+        onehot = csr_matrix((np.ones(R * h), members.astype(idx), indptr.astype(idx)),
+                            shape=(R * k, n))
         new_means = onehot @ U
     else:
         # numpy sums a single column pairwise, not row after row; gathering
@@ -179,13 +195,16 @@ def tclust_step(U, model: MeanModel,
         new_means = np.stack([U[members[a:b]].sum(axis=0)
                               for a, b in zip(indptr[:-1], indptr[1:])])
     new_means /= np.maximum(counts, 1)[:, None]
+    new_means = new_means.reshape(R, k, d)
     empty = np.flatnonzero(counts == 0)
-    if empty.size:
-        scores = _scores(model, chosen_sq_distances(U, model.means, lab, kept))
-        worst_first = kept[np.argsort(scores, kind="stable")]
-        for slot, c in enumerate(empty):
-            new_means[c] = U[worst_first[slot % h]]
+    for r in np.unique(empty // k):
+        d2 = chosen_sq_distances(U, means[r], lab[r], kept[r])
+        worst_first = kept[r][np.argsort(_scores(model, d2), kind="stable")]
+        for slot, c in enumerate(empty[empty // k == r] % k):
+            new_means[r, c] = U[worst_first[slot % h]]
 
+    if single:
+        return MeanModel(new_means[0], model.scale), kept[0], lab[0] + 1
     return MeanModel(new_means, model.scale), kept, lab + 1
 
 
@@ -204,8 +223,12 @@ def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,
     (stream derived from (seed, restart index)) and iterates the
     concentration step until the retained set and all assignments repeat,
     or `max_iter` is reached. The restart with the largest final objective
-    wins; its means are returned in lexicographic order with labels
-    remapped to match.
+    wins (the first in restart order among equals); its means are returned
+    in lexicographic order with labels remapped to match.
+
+    Up to floor(_CHUNK / n) restarts step together as one batch (one at a
+    time once n > _CHUNK); a restart leaves the batch when it stops and the
+    next one takes its place. Batching changes no restart's result.
 
     `init_means` replaces the random initialization (restarts is then
     forced to 1), which is how reference runs reproduce a specific start.
@@ -221,43 +244,63 @@ def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,
         raise ValueError(f"retained count {h} is smaller than k={k}")
     if restarts < 1:
         raise ValueError("restarts must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
     if init_means is not None:
         restarts = 1
+        means0 = np.atleast_2d(np.asarray(init_means, dtype=float))
+        if means0.shape != (k, d):
+            raise ValueError("init_means must be k x d")
 
-    children = np.random.SeedSequence(seed).spawn(restarts)
+    cap = max(1, _CHUNK // n)
+    u_sq = np.einsum("ij,ij->i", U, U)
 
+    # the batch: restart indices, their means, steps taken and the last
+    # step's kept rows and clusters (-1 before the first step)
+    order = np.empty(0, dtype=np.intp)
+    means = np.empty((0, k, d))
+    iterations = np.empty(0, dtype=np.intp)
+    prev_kept = prev_labels = np.empty((0, h), dtype=np.intp)
     best = None
-    for r in range(restarts):
-        if init_means is not None:
-            means0 = np.atleast_2d(np.asarray(init_means, dtype=float)).copy()
-            if means0.shape != (k, d):
-                raise ValueError("init_means must be k x d")
-        else:
-            rng = np.random.default_rng(children[r])
-            means0 = U[rng.choice(n, size=k, replace=False)].copy()
-        model = MeanModel(means0, scale)
+    next_r = 0
+    while next_r < restarts or order.size:
+        joining = range(next_r, min(restarts, next_r + cap - order.size))
+        if joining:
+            if init_means is not None:
+                starts = [means0]
+            else:
+                # restart r's stream is the r-th child SeedSequence(seed).spawn
+                # would make, built when the restart joins
+                starts = [U[np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+                            .choice(n, size=k, replace=False)] for r in joining]
+            order = np.concatenate((order, joining))
+            means = np.concatenate((means, starts))
+            iterations = np.concatenate((iterations, np.zeros(len(joining), np.intp)))
+            fresh = np.full((len(joining), h), -1)
+            prev_kept = np.concatenate((prev_kept, fresh))
+            prev_labels = np.concatenate((prev_labels, fresh))
+            next_r = joining.stop
 
-        prev_kept = None
-        prev_labels = None
-        iterations = 0
-        for _ in range(max_iter):
-            model, kept, kept_labels = tclust_step(U, model, trim)
-            iterations += 1
-            if (prev_kept is not None
-                    and np.array_equal(kept, prev_kept)
-                    and np.array_equal(kept_labels, prev_labels)):
-                break
-            prev_kept = kept
-            prev_labels = kept_labels
-
-        labels, trimmed, objective = _classify(U, model, h)
-        if best is None or objective > best[0]:
-            best = (objective, model, labels, trimmed, iterations, r)
+        model, kept, kept_labels = tclust_step(U, MeanModel(means, scale), h, u_sq)
+        iterations += 1
+        done = ((kept == prev_kept).all(axis=1) & (kept_labels == prev_labels).all(axis=1)
+                | (iterations == max_iter))
+        stay = ~done
+        # drop the batch's kept rows before scoring the leaving restarts (peak memory)
+        prev_kept, prev_labels = kept[stay], kept_labels[stay]
+        del kept, kept_labels
+        for j in np.flatnonzero(done):
+            fit = MeanModel(model.means[j], scale)
+            labels, trimmed, objective = _classify(U, fit, h, u_sq)
+            r = int(order[j])
+            if best is None or objective > best[0] or (objective == best[0] and r < best[5]):
+                best = (objective, fit, labels, trimmed, int(iterations[j]), r)
+        order, means, iterations = order[stay], model.means[stay], iterations[stay]
 
     objective, model, labels, trimmed, iterations, r = best
-    final_model, order = model.finalized()
+    final_model, perm = model.finalized()
     relabel = np.empty(k, dtype=np.int64)
-    relabel[order] = np.arange(k)
+    relabel[perm] = np.arange(k)
     labels = relabel[labels - 1] + 1
     return ClusterFit(model=final_model, labels=labels, trimmed=trimmed,
                       objective=objective, iterations=iterations,

@@ -148,9 +148,9 @@ def test_log_likelihood_is_the_exact_sum_of_fixed_row_blocks(case):
     U, model = case
     rows = [spherical_log_likelihood(U[i:i + 1], model) for i in range(U.shape[0])]
     totals = []
-    for chunk in (1, 7, mixtures._CHUNK):
+    for rows_per_block in (1, 7, mixtures._NEAREST_ROWS):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mixtures, "_CHUNK", chunk)
+            mp.setattr(mixtures, "_NEAREST_ROWS", rows_per_block)
             totals.append(spherical_log_likelihood(U, model))
     assert totals == [math.fsum(rows)] * 3
 

@@ -73,7 +73,8 @@ def test_step_means_match_per_cluster_mean(case, alpha):
     U, M = case
     trim = TrimSpec(alpha)
     assume(trim.retained_count(U.shape[0]) >= M.shape[0])
-    updated, kept, kept_labels = tclust_step(U, MeanModel(M), trim)
+    h = trim.retained_count(U.shape[0])
+    updated, kept, kept_labels = tclust_step(U, MeanModel(M), h)
     for c in range(M.shape[0]):
         members = kept[kept_labels == c + 1]
         if members.size:
@@ -91,6 +92,20 @@ def test_nearest_mean_does_not_depend_on_block_size(monkeypatch, rows):
     dist = chosen_sq_distances(U, M, labels)
     np.testing.assert_array_equal(labels, expected[0])
     np.testing.assert_array_equal(dist, expected[1])
+
+
+@pytest.mark.parametrize("scores", [1, 37, 1 << 16])
+def test_stacked_search_does_not_depend_on_block_size(monkeypatch, scores):
+    rng = np.random.default_rng(1)
+    U = np.round(rng.normal(size=(300, 5)), 1) + 1e3
+    sets = np.round(rng.normal(size=(3, 4, 5)), 1) + 1e3
+    sets[1] = sets[0]
+    monkeypatch.setattr(mixtures, "_BLOCK_SCORES", scores)
+    labels, est, bound = nearest_search(U, sets)
+    for r, means in enumerate(sets):
+        ref_labels, ref_dist = _reference(U, means)
+        np.testing.assert_array_equal(labels[r], ref_labels)
+        assert np.all(np.abs(est[r] - ref_dist) <= bound[r])
 
 
 def test_exact_tie_goes_to_lower_index():
@@ -182,8 +197,54 @@ def _reference_step(U, M, trim, scale):
 def test_step_matches_the_exact_reference(case):
     U, M, trim, scale = case
     assume(trim.retained_count(U.shape[0]) >= M.shape[0])
-    model, kept, kept_labels = tclust_step(U, MeanModel(M, scale), trim)
+    model, kept, kept_labels = tclust_step(U, MeanModel(M, scale),
+                                           trim.retained_count(U.shape[0]))
     means, ref_kept, ref_labels = _reference_step(U, M, trim, scale)
     np.testing.assert_array_equal(kept, ref_kept)
     np.testing.assert_array_equal(kept_labels, ref_labels)
     np.testing.assert_array_equal(model.means, means)
+
+
+@st.composite
+def mean_sets(draw, M):
+    """R mean sets of M's shape: M itself (exact ties between sets), a row
+    permutation of it, or it shifted along the 0.1 grid."""
+    sets = [M]
+    for kind in draw(st.lists(st.sampled_from(["same", "permute", "shift"]), max_size=4)):
+        if kind == "same":
+            sets.append(M.copy())
+        elif kind == "permute":
+            sets.append(M[draw(st.permutations(range(M.shape[0])))])
+        else:
+            sets.append(M + draw(st.integers(-5, 5)) / 10)
+    return np.stack(sets)
+
+
+@SETTINGS
+@given(st.data(), grid_data())
+def test_stacked_search_matches_each_sets_exact_argmin(data, case):
+    U, M = case
+    sets = data.draw(mean_sets(M))
+    labels, est, bound = nearest_search(U, sets)
+    assert labels.shape == est.shape == (sets.shape[0], U.shape[0])
+    for r, means in enumerate(sets):
+        ref_labels, ref_dist = _reference(U, means)
+        np.testing.assert_array_equal(labels[r], ref_labels)
+        assert np.all(np.abs(est[r] - ref_dist) <= bound[r])
+        np.testing.assert_array_equal(nearest_search(U, means)[0], ref_labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), step_cases())
+def test_batched_step_matches_each_restarts_exact_reference(data, case):
+    U, M, trim, scale = case
+    h = trim.retained_count(U.shape[0])
+    assume(h >= M.shape[0])
+    sets = data.draw(mean_sets(M))
+    model, kept, kept_labels = tclust_step(U, MeanModel(sets, scale), h)
+    assert kept.shape == kept_labels.shape == (sets.shape[0], h)
+    for r, means in enumerate(sets):
+        ref_means, ref_kept, ref_labels = _reference_step(U, means, trim, scale)
+        np.testing.assert_array_equal(kept[r], ref_kept)
+        np.testing.assert_array_equal(kept_labels[r], ref_labels)
+        np.testing.assert_array_equal(model.means[r], ref_means)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracles import brute_objective, exhaustive_optimum, reference_lloyd
 
+import fdcluster.tclust as tclust
 from fdcluster.mixtures import MeanModel, kmeans_allocate
 from fdcluster.tclust import (TrimSpec, allocate_all, tclust_objective, tclust_step,
                               trimmed_kmeans)
@@ -90,14 +92,14 @@ class TestStep:
         b = rng.normal(10, 0.5, (20, 2))
         U = np.vstack([a, b])
         centroids = np.vstack([a.mean(axis=0), b.mean(axis=0)])
-        updated, kept, _ = tclust_step(U, MeanModel(centroids), TrimSpec(0.0))
+        updated, kept, _ = tclust_step(U, MeanModel(centroids), 40)
         np.testing.assert_allclose(updated.means, centroids, atol=1e-12)
         assert kept.size == 40
 
     def test_single_cluster_moves_to_grand_mean(self):
         rng = np.random.default_rng(4)
         U = rng.normal(size=(15, 3))
-        updated, _, _ = tclust_step(U, MeanModel(rng.normal(size=(1, 3))), TrimSpec(0.0))
+        updated, _, _ = tclust_step(U, MeanModel(rng.normal(size=(1, 3))), 15)
         np.testing.assert_allclose(updated.means[0], U.mean(axis=0), atol=1e-12)
 
     def test_outlier_trimmed_and_centroids_recovered(self):
@@ -106,7 +108,7 @@ class TestStep:
         U = np.array([[0.0, 0.0], [0.2, 0.0], [5.0, 5.0], [5.2, 5.0], [80.0, -40.0]])
         trim = TrimSpec(0.2)
         model = MeanModel(np.array([[0.0, 0.0], [5.0, 5.0]]))
-        updated, kept, _ = tclust_step(U, model, trim)
+        updated, kept, _ = tclust_step(U, model, trim.retained_count(5))
         assert 4 not in kept
         np.testing.assert_allclose(
             updated.means, [[0.1, 0.0], [5.1, 5.0]], atol=1e-12)
@@ -120,14 +122,14 @@ class TestStep:
         model = MeanModel(U[rng.choice(60, 2, replace=False)])
         prev = tclust_objective(U, model, trim)
         for _ in range(10):
-            model, _, _ = tclust_step(U, model, trim)
+            model, _, _ = tclust_step(U, model, trim.retained_count(60))
             objective = tclust_objective(U, model, trim)
             assert objective >= prev - 1e-10
             prev = objective
 
     def test_h_below_k_rejected(self):
         with pytest.raises(ValueError):
-            tclust_step(np.zeros((4, 1)), MeanModel(np.zeros((3, 1))), TrimSpec(0.5))
+            tclust_step(np.zeros((4, 1)), MeanModel(np.zeros((3, 1))), 2)
 
 
 # --- trimmed_kmeans ----------------------------------------------------------
@@ -234,6 +236,28 @@ class TestTrimmedKmeans:
         np.testing.assert_array_equal(f.model.means, c.model.means)
         assert f.objective == c.objective
 
+    def test_peak_memory_does_not_grow_with_restarts(self):
+        # a batch holds at most floor(_CHUNK / n) restarts, and a restart
+        # that leaves it keeps nothing but the best fit so far
+        rng = np.random.default_rng(16)
+        U = rng.normal(size=(1000, 10)) + rng.integers(0, 5, 1000)[:, None] * 3.0
+        trimmed_kmeans(U, 5, TrimSpec(0.1), restarts=2, seed=0)
+        peaks = []
+        for restarts in (32, 100):
+            tracemalloc.start()
+            try:
+                trimmed_kmeans(U, 5, TrimSpec(0.1), restarts=restarts, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.01 * peaks[0]
+
+    def test_max_iter_below_one_rejected(self):
+        U = np.random.default_rng(17).normal(size=(10, 2))
+        for max_iter in (0, -1):
+            with pytest.raises(ValueError, match="max_iter"):
+                trimmed_kmeans(U, 2, TrimSpec(0.0), max_iter=max_iter)
+
     def test_k_larger_than_h_rejected(self):
         with pytest.raises(ValueError):
             trimmed_kmeans(np.zeros((3, 1)), 2, TrimSpec(0.5))
@@ -267,3 +291,62 @@ class TestAllocateAll:
         assert labels.shape == (100,)
         assert set(np.unique(labels)) <= {1, 2}
         assert int(fit.trimmed.sum()) == 90
+
+
+# --- restart batches ---------------------------------------------------------
+
+@st.composite
+def fit_cases(draw):
+    """Small fits with many exact ties: rows on a 0.1 grid or small integers,
+    some duplicated, so starting means can coincide (an empty cluster and a
+    reseed) and restarts can end on the same objective; few steps allowed,
+    so some restarts stop at max_iter and others converge earlier."""
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        values = st.integers(-2, 2).map(float)
+    else:
+        values = st.integers(-20, 20).map(lambda v: v / 10)
+    U = draw(hnp.arrays(np.float64, (n, d), elements=values))
+    copies = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    U = np.vstack([U, U[copies]]) if copies else U
+    trim = TrimSpec(draw(st.sampled_from([0.0, 0.1, 0.25, 0.5])))
+    k = draw(st.integers(1, min(4, trim.retained_count(U.shape[0]))))
+    return (U, k, trim, draw(st.integers(1, 7)), draw(st.integers(1, 5)),
+            draw(st.integers(0, 2 ** 16)))
+
+
+def _fit_under_cap(case, cap):
+    """trimmed_kmeans with at most `cap` restarts per batch (None: no cap)."""
+    U, k, trim, restarts, max_iter, seed = case
+    chunk = 1 << 62 if cap is None else cap * U.shape[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tclust, "_CHUNK", chunk)
+        return trimmed_kmeans(U, k, trim, restarts=restarts, max_iter=max_iter, seed=seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fit_cases())
+# all rows but one are equal: most starts put two means on the same point
+@example((np.vstack([np.zeros((5, 2)), [[5.0, 5.0]]]), 2, TrimSpec(0.0), 6, 3, 1))
+# one cluster, no trimming: every restart ends on the same objective
+@example((np.arange(12.0).reshape(6, 2), 1, TrimSpec(0.0), 5, 4, 2))
+def test_fit_does_not_depend_on_the_batch_cap(case):
+    fits = [_fit_under_cap(case, cap) for cap in (1, 2, None)]
+    for fit in fits[1:]:
+        np.testing.assert_array_equal(fit.labels, fits[0].labels)
+        np.testing.assert_array_equal(fit.trimmed, fits[0].trimmed)
+        np.testing.assert_array_equal(fit.model.means, fits[0].model.means)
+        assert fit.objective == fits[0].objective
+        assert fit.iterations == fits[0].iterations
+        assert fit.restart_index == fits[0].restart_index
+
+
+def test_objective_tie_goes_to_the_first_restart_across_batches():
+    # k = 1 without trimming: every restart ends at the grand mean with the
+    # same objective, so restart 0 wins whichever batch each restart ran in
+    U = np.random.default_rng(18).normal(size=(40, 3))
+    for cap in (1, 2, 3, None):
+        fit = _fit_under_cap((U, 1, TrimSpec(0.0), 7, 20, 5), cap)
+        assert fit.restart_index == 0
+        assert fit.iterations == 2
