@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -111,7 +112,7 @@ def cmd_fit(args) -> int:
     made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
     try:
-        result = run_two_stage(vol, cfg)
+        result = run_two_stage(vol, cfg, jobs=args.jobs)
     except (SlopeEstimationError, ValueError) as exc:
         trace = getattr(exc, "trace", None)
         if trace is None:
@@ -155,7 +156,8 @@ def cmd_simulate(args) -> int:
     methods = ([s.strip() for s in args.methods.split(",") if s.strip()]
                if args.methods else list(DEFAULT_METHODS))
     report = run_study(args.study, _parse_grid(args.grid), args.replicates,
-                       methods=methods, seed=args.seed, restarts=args.restarts)
+                       methods=methods, seed=args.seed, restarts=args.restarts,
+                       jobs=args.jobs)
     report.write_csv(args.out)
     print(f"report written to {args.out}")
     return 0
@@ -196,6 +198,15 @@ def cmd_render(args) -> int:
     return 0
 
 
+def _add_jobs(p) -> None:
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call outside Linux
+        usable = os.cpu_count() or 1
+    p.add_argument("--jobs", type=int, default=usable,
+                   help="worker processes (default: the CPUs this process may use)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fdcluster",
                                      description="Two-stage clustering of volumetric time series")
@@ -215,6 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--penalty", choices=tuple(PENALTIES))
     p.add_argument("--no-detrend", action="store_true")
     p.add_argument("--no-normalize", action="store_true")
+    _add_jobs(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
@@ -225,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--methods", help="comma list: gmm,kmeans,trimmed:0.25")
     p.add_argument("--restarts", type=int, default=20)
+    _add_jobs(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 

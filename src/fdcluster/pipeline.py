@@ -36,7 +36,7 @@ from .basis import (TimeGrid, coef_values, design_matrix, detrend,
 from .mixtures import spherical_log_likelihood
 from .selection import (PENALTIES, SelectionTrace, SlopeEstimate,
                         estimate_slope_ddse, select_k)
-from .tclust import (ClusterFit, TrimSpec, allocate_all, seed_int,
+from .tclust import (ClusterFit, TrimSpec, allocate_all, map_tasks, seed_int,
                      trimmed_kmeans)
 
 _CIVT_MAGIC = b"CIVT"
@@ -467,13 +467,28 @@ class TwoStageResult:
     stats: ColumnStats | None        # None when normalization was off
 
 
-def run_two_stage(vol: VolumeSeries, cfg: RunConfig) -> TwoStageResult:
+def _fit_candidate(shared, task):
+    """One candidate's fit, its log-likelihood and the seconds they took."""
+    coefs, cfg = shared
+    k, trim, seed = task
+    t0 = time.perf_counter()
+    fit = trimmed_kmeans(coefs, k, trim, restarts=cfg.restarts,
+                         max_iter=cfg.max_iter, seed=seed, scale=cfg.lam)
+    loglik = spherical_log_likelihood(coefs, fit.model)
+    return fit, loglik, time.perf_counter() - t0
+
+
+def run_two_stage(vol: VolumeSeries, cfg: RunConfig, jobs: int = 1) -> TwoStageResult:
     """Filter, sweep cluster counts, select k, and allocate every voxel.
 
-    Candidates above the n voxels raise ValueError, naming them, before any
-    series is read. Stage 1 streams the series in blocks
+    Candidates above the n voxels, or `jobs` below 1, raise ValueError
+    before any series is read. Stage 1 streams the series in blocks
     (`_stage1_coefficients`); a non-finite value raises ValueError naming
     its voxel.
+
+    The candidates are fitted on up to `jobs` processes (`map_tasks`,
+    largest k first). Each has its own seed stream, so the result does not
+    depend on `jobs`; a candidate's trace seconds are its own fit's time.
 
     Degenerate volumes are handled conservatively, with a FallbackWarning
     each time: the trim level drops to zero whenever the retained count
@@ -483,6 +498,8 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig) -> TwoStageResult:
     Raises SlopeEstimationError (with the completed sweep attached as
     ``exc.trace``) when the loss-penalty slope is nonpositive.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     above = sorted(k for k in cfg.k_set if k > vol.n)
     if above:
         raise ValueError(f"candidates {above} exceed the {vol.n} voxels; "
@@ -502,8 +519,7 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig) -> TwoStageResult:
 
     pen = PENALTIES[cfg.penalty]
     k_seqs = np.random.SeedSequence(cfg.seed).spawn(len(cfg.k_set))
-    trace = SelectionTrace(n_points=n)
-    fits: dict[int, ClusterFit] = {}
+    tasks = []
     for k, seq in zip(sorted(cfg.k_set), k_seqs):
         trim = TrimSpec(cfg.alpha)
         h = trim.retained_count(n)
@@ -512,12 +528,14 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig) -> TwoStageResult:
                           f"fewer than {k} clusters: fitting with alpha=0",
                           FallbackWarning)
             trim = TrimSpec(0.0)
-        t0 = time.perf_counter()
-        fit = trimmed_kmeans(coefs, k, trim,
-                             restarts=cfg.restarts, max_iter=cfg.max_iter,
-                             seed=seed_int(seq), scale=cfg.lam)
-        loglik = spherical_log_likelihood(coefs, fit.model)
-        trace.add(k, loglik, pen(k, cfg.d), time.perf_counter() - t0)
+        tasks.append((k, trim, seed_int(seq)))
+    outcomes = map_tasks(_fit_candidate, (coefs, cfg), tasks,
+                         cost=lambda task: task[0], jobs=jobs)
+
+    trace = SelectionTrace(n_points=n)
+    fits: dict[int, ClusterFit] = {}
+    for (k, _, _), (fit, loglik, seconds) in zip(tasks, outcomes):
+        trace.add(k, loglik, pen(k, cfg.d), seconds)
         fits[k] = fit
 
     slope = None

@@ -21,7 +21,7 @@ from scipy.special import logsumexp
 from .basis import (TimeGrid, coef_values, design_matrix, make_bspline_system,
                     ols_fit)
 from .mixtures import GmmParams, bayes_allocate, component_log_densities
-from .tclust import TrimSpec, allocate_all, seed_int, trimmed_kmeans
+from .tclust import TrimSpec, allocate_all, map_tasks, seed_int, trimmed_kmeans
 
 DEFAULT_METHODS = ("gmm", "kmeans", "trimmed:0.25", "trimmed:0.5")
 
@@ -261,9 +261,43 @@ def _parse_method(spec: str) -> tuple[str, float]:
     raise ValueError(f"unknown method {spec!r}")
 
 
+def _score_replicate(shared, task):
+    """Simulate one replicate, filter it, and score every method on it.
+
+    Returns each method's ARI and the seconds its fit and allocation took.
+    """
+    parsed, restarts = shared
+    cell_cfg, rep_seq = task
+    sim_seq, fit_seq = rep_seq.spawn(2)
+    cfg = replace(cell_cfg, seed=seed_int(sim_seq))
+    data = simulate_study(cfg)
+    system = make_bspline_system(cfg.domain, cfg.d_gen)
+    design = design_matrix(system, data.grid)
+    coefs = ols_fit(design, data.series)
+
+    aris, seconds = [], []
+    for (name, alpha), mseq in zip(parsed, fit_seq.spawn(len(parsed))):
+        t0 = time.perf_counter()
+        if name == "gmm":
+            best = None
+            for sub in mseq.spawn(EM_RESTARTS):
+                params, hist = fit_gmm_em(coefs, cfg.k_true, seed=seed_int(sub),
+                                          full_output=True)
+                if best is None or hist[-1] > best[0]:
+                    best = (hist[-1], params)
+            labels = bayes_allocate(coefs, best[1])
+        else:
+            fit = trimmed_kmeans(coefs, cfg.k_true, TrimSpec(alpha),
+                                 restarts=restarts, seed=seed_int(mseq))
+            labels = allocate_all(coefs, fit)
+        seconds.append(time.perf_counter() - t0)
+        aris.append(adjusted_rand_index(labels, data.labels))
+    return aris, seconds
+
+
 def run_study(study: str, grid_cells, replicates: int,
               methods=DEFAULT_METHODS, seed: int = 0, restarts: int = 20,
-              base_config: SimConfig | None = None) -> StudyReport:
+              base_config: SimConfig | None = None, jobs: int = 1) -> StudyReport:
     """Simulate and score every (m, n) cell with every requested method.
 
     Methods are given as "gmm", "kmeans", or "trimmed:<alpha>". Clustering
@@ -272,49 +306,37 @@ def run_study(study: str, grid_cells, replicates: int,
     posterior-weight rule for the fitted mixture) and scored against the
     true labels. Per-(cell, replicate, method) RNG streams are split from
     the master seed, so results do not depend on execution order.
+
+    The (cell, replicate) pairs run on up to `jobs` processes (`map_tasks`,
+    largest cells first); a row's seconds are the sum of its method's own
+    times over the replicates. Bad settings raise ValueError before any
+    data is simulated.
     """
     if replicates < 1:
         raise ValueError("replicates must be positive")
+    if restarts < 1:
+        raise ValueError("restarts must be positive")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     parsed = [_parse_method(s) for s in methods]
     cells = [(int(m), int(n)) for m, n in grid_cells]
+    configs = [SimConfig(study=study, n=n, m=m) if base_config is None
+               else replace(base_config, study=study, n=n, m=m) for m, n in cells]
     root = np.random.SeedSequence(seed)
-    cell_seqs = root.spawn(len(cells))
+    tasks = [(cfg, rep_seq)
+             for cfg, cell_seq in zip(configs, root.spawn(len(cells)))
+             for rep_seq in cell_seq.spawn(replicates)]
+    outcomes = map_tasks(_score_replicate, (parsed, restarts), tasks,
+                         cost=lambda task: (task[0].n, task[0].m), jobs=jobs)
 
     report = StudyReport()
-    for (m, n), cell_seq in zip(cells, cell_seqs):
+    for c, (m, n) in enumerate(cells):
         aris = {spec: [] for spec in methods}
         seconds = dict.fromkeys(methods, 0.0)
-        rep_seqs = cell_seq.spawn(replicates)
-        for rep_seq in rep_seqs:
-            sim_seq, fit_seq = rep_seq.spawn(2)
-            if base_config is None:
-                cfg = SimConfig(study=study, n=n, m=m, seed=seed_int(sim_seq))
-            else:
-                cfg = replace(base_config, study=study, n=n, m=m,
-                              seed=seed_int(sim_seq))
-            data = simulate_study(cfg)
-            system = make_bspline_system(cfg.domain, cfg.d_gen)
-            design = design_matrix(system, data.grid)
-            coefs = ols_fit(design, data.series)
-
-            method_seqs = fit_seq.spawn(len(parsed))
-            for spec, (name, alpha), mseq in zip(methods, parsed, method_seqs):
-                t0 = time.perf_counter()
-                if name == "gmm":
-                    best = None
-                    for sub in mseq.spawn(EM_RESTARTS):
-                        params, hist = fit_gmm_em(coefs, cfg.k_true,
-                                                  seed=seed_int(sub),
-                                                  full_output=True)
-                        if best is None or hist[-1] > best[0]:
-                            best = (hist[-1], params)
-                    labels = bayes_allocate(coefs, best[1])
-                else:
-                    fit = trimmed_kmeans(coefs, cfg.k_true, TrimSpec(alpha),
-                                         restarts=restarts, seed=seed_int(mseq))
-                    labels = allocate_all(coefs, fit)
-                seconds[spec] += time.perf_counter() - t0
-                aris[spec].append(adjusted_rand_index(labels, data.labels))
+        for rep_aris, rep_seconds in outcomes[c * replicates:(c + 1) * replicates]:
+            for spec, ari, secs in zip(methods, rep_aris, rep_seconds):
+                aris[spec].append(ari)
+                seconds[spec] += secs
 
         for spec, (name, alpha) in zip(methods, parsed):
             values = np.asarray(aris[spec])

@@ -10,7 +10,10 @@ restart with the largest objective.
 
 from __future__ import annotations
 
+import functools
 import math
+import multiprocessing
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -211,6 +214,72 @@ def tclust_step(U, model: MeanModel, h: int, u_sq: np.ndarray | None = None
 def seed_int(seq: np.random.SeedSequence) -> int:
     """An integer seed drawn from a SeedSequence, for APIs that take an int."""
     return int(seq.generate_state(1, np.uint64)[0])
+
+
+# in a forked pool worker: its task with the shared argument bound (set once,
+# when the worker starts; None in any other process)
+_worker_task = None
+
+
+def _outcome(task, shared, item):
+    """(True, result), or (False, (exception, its traceback as text))."""
+    try:
+        return True, task(shared, item)
+    except Exception as exc:
+        return False, (exc, traceback.format_exc())
+
+
+def _start_worker(task, shared):
+    global _worker_task
+    _worker_task = functools.partial(_outcome, task, shared)
+
+
+def _worker_outcome(item):
+    return _worker_task(item)
+
+
+def map_tasks(task, shared, items, cost, jobs: int = 1) -> list:
+    """[task(shared, item) for item in items], run on up to `jobs` processes.
+
+    Items are dispatched costliest first (largest `cost(item)`, ties in
+    input order), one at a time, to min(jobs, len(items)) workers forked
+    from this process; with one worker they run here, through the same
+    calls. `shared` reaches the workers through fork copy-on-write, not by
+    pickle, so a large array in it is neither copied nor serialized; each
+    item and result is pickled. Every item runs even when one raises; the
+    exception of the first failing item in input order is then raised
+    here, the one a loop over the items in order would raise. The pool is
+    closed and joined before this returns or raises.
+    """
+    items = list(items)
+    order = sorted(range(len(items)), key=lambda i: cost(items[i]), reverse=True)
+    dispatched = [items[i] for i in order]
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        outcomes = list(map(functools.partial(_outcome, task, shared), dispatched))
+    else:
+        # fork, not spawn: a spawned worker would need `shared` pickled
+        pool = multiprocessing.get_context("fork").Pool(
+            workers, _start_worker, (task, shared))
+        try:
+            outcomes = pool.map(_worker_outcome, dispatched, chunksize=1)
+        except BaseException:
+            pool.terminate()        # interrupted: do not wait for queued items
+            raise
+        finally:
+            pool.close()
+            pool.join()
+    results = [None] * len(items)
+    for i, outcome in zip(order, outcomes):
+        results[i] = outcome
+    for ok, value in results:
+        if not ok:
+            exc, text = value
+            if exc.__traceback__ is None:
+                # pickled back from a worker: its traceback came as text
+                raise exc from RuntimeError(f"raised in a worker process:\n{text}")
+            raise exc
+    return [value for _, value in results]
 
 
 def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,
