@@ -105,6 +105,15 @@ def _build_run_config(args) -> RunConfig:
     return RunConfig(**values)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: fit and simulate use one worker
+    process each (restrict them with e.g. `taskset -c 0`)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call outside Linux
+        return os.cpu_count() or 1
+
+
 def cmd_fit(args) -> int:
     cfg = _build_run_config(args)
     vol = load_volume(args.input, args.format)
@@ -112,7 +121,7 @@ def cmd_fit(args) -> int:
     made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
     try:
-        result = run_two_stage(vol, cfg, jobs=args.jobs)
+        result = run_two_stage(vol, cfg, jobs=_usable_cpus())
     except (SlopeEstimationError, ValueError) as exc:
         trace = getattr(exc, "trace", None)
         if trace is None:
@@ -157,7 +166,7 @@ def cmd_simulate(args) -> int:
                if args.methods else list(DEFAULT_METHODS))
     report = run_study(args.study, _parse_grid(args.grid), args.replicates,
                        methods=methods, seed=args.seed, restarts=args.restarts,
-                       jobs=args.jobs)
+                       jobs=_usable_cpus())
     report.write_csv(args.out)
     print(f"report written to {args.out}")
     return 0
@@ -198,15 +207,6 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _add_jobs(p) -> None:
-    try:
-        usable = len(os.sched_getaffinity(0))
-    except AttributeError:          # no affinity call outside Linux
-        usable = os.cpu_count() or 1
-    p.add_argument("--jobs", type=int, default=usable,
-                   help="worker processes (default: the CPUs this process may use)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fdcluster",
                                      description="Two-stage clustering of volumetric time series")
@@ -226,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--penalty", choices=tuple(PENALTIES))
     p.add_argument("--no-detrend", action="store_true")
     p.add_argument("--no-normalize", action="store_true")
-    _add_jobs(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
@@ -237,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--methods", help="comma list: gmm,kmeans,trimmed:0.25")
     p.add_argument("--restarts", type=int, default=20)
-    _add_jobs(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 

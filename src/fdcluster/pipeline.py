@@ -486,8 +486,8 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig, jobs: int = 1) -> TwoStageR
     (`_stage1_coefficients`); a non-finite value raises ValueError naming
     its voxel.
 
-    The candidates are fitted on up to `jobs` processes (`map_tasks`,
-    largest k first). Each has its own seed stream, so the result does not
+    The candidates are fitted on up to `jobs` processes (`map_tasks`;
+    in a pool, largest k first). Each has its own seed stream, so the result does not
     depend on `jobs`; a candidate's trace seconds are its own fit's time.
 
     Degenerate volumes are handled conservatively, with a FallbackWarning

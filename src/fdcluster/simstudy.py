@@ -307,8 +307,8 @@ def run_study(study: str, grid_cells, replicates: int,
     true labels. Per-(cell, replicate, method) RNG streams are split from
     the master seed, so results do not depend on execution order.
 
-    The (cell, replicate) pairs run on up to `jobs` processes (`map_tasks`,
-    largest cells first); a row's seconds are the sum of its method's own
+    The (cell, replicate) pairs run on up to `jobs` processes (`map_tasks`;
+    in a pool, largest cells first); a row's seconds are the sum of its method's own
     times over the replicates. Bad settings raise ValueError before any
     data is simulated.
     """

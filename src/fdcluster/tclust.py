@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import multiprocessing
-import traceback
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -221,65 +221,41 @@ def seed_int(seq: np.random.SeedSequence) -> int:
 _worker_task = None
 
 
-def _outcome(task, shared, item):
-    """(True, result), or (False, (exception, its traceback as text))."""
-    try:
-        return True, task(shared, item)
-    except Exception as exc:
-        return False, (exc, traceback.format_exc())
-
-
 def _start_worker(task, shared):
     global _worker_task
-    _worker_task = functools.partial(_outcome, task, shared)
+    _worker_task = functools.partial(task, shared)
 
 
-def _worker_outcome(item):
+def _run_in_worker(item):
     return _worker_task(item)
 
 
 def map_tasks(task, shared, items, cost, jobs: int = 1) -> list:
     """[task(shared, item) for item in items], run on up to `jobs` processes.
 
-    Items are dispatched costliest first (largest `cost(item)`, ties in
-    input order), one at a time, to min(jobs, len(items)) workers forked
-    from this process; with one worker they run here, through the same
-    calls. `shared` reaches the workers through fork copy-on-write, not by
-    pickle, so a large array in it is neither copied nor serialized; each
-    item and result is pickled. Every item runs even when one raises; the
-    exception of the first failing item in input order is then raised
-    here, the one a loop over the items in order would raise. The pool is
-    closed and joined before this returns or raises.
+    With one worker the items run here, in input order. Otherwise they go
+    costliest first (largest `cost(item)`, ties in input order) to
+    min(jobs, len(items)) workers forked from this process; `shared`
+    reaches them through fork copy-on-write, not by pickle, so a large
+    array in it is neither copied nor serialized, while each item and
+    result is pickled. Either way the exception raised is that of the
+    first failing item in input order (from a worker, chained to its
+    traceback); items not yet started are then dropped, and the workers
+    are joined before this returns or raises.
     """
     items = list(items)
-    order = sorted(range(len(items)), key=lambda i: cost(items[i]), reverse=True)
-    dispatched = [items[i] for i in order]
     workers = min(jobs, len(items))
     if workers <= 1:
-        outcomes = list(map(functools.partial(_outcome, task, shared), dispatched))
-    else:
-        # fork, not spawn: a spawned worker would need `shared` pickled
-        pool = multiprocessing.get_context("fork").Pool(
-            workers, _start_worker, (task, shared))
-        try:
-            outcomes = pool.map(_worker_outcome, dispatched, chunksize=1)
-        except BaseException:
-            pool.terminate()        # interrupted: do not wait for queued items
-            raise
-        finally:
-            pool.close()
-            pool.join()
-    results = [None] * len(items)
-    for i, outcome in zip(order, outcomes):
-        results[i] = outcome
-    for ok, value in results:
-        if not ok:
-            exc, text = value
-            if exc.__traceback__ is None:
-                # pickled back from a worker: its traceback came as text
-                raise exc from RuntimeError(f"raised in a worker process:\n{text}")
-            raise exc
-    return [value for _, value in results]
+        return [task(shared, item) for item in items]
+    order = sorted(range(len(items)), key=lambda i: cost(items[i]), reverse=True)
+    # fork, not spawn: a spawned worker would need `shared` pickled
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               _start_worker, (task, shared))
+    try:
+        futures = {i: pool.submit(_run_in_worker, items[i]) for i in order}
+        return [futures[i].result() for i in range(len(items))]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,

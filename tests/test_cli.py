@@ -5,7 +5,7 @@ import pytest
 
 from fdcluster import pipeline, simstudy
 from fdcluster.basis import TimeGrid
-from fdcluster.cli import build_parser, main
+from fdcluster.cli import main
 from fdcluster.pipeline import VolumeSeries, load_labels_civl, save_volume_civt
 from fdcluster.selection import SelectionTrace, penalty_spherical
 
@@ -277,54 +277,3 @@ def test_simulate_zero_restarts_is_refused_before_simulating(tmp_path, capsys,
     assert rc == 2
     assert "restarts must be positive" in capsys.readouterr().err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_jobs_below_one_is_refused_before_any_work(tmp_path, blocked_civt, capsys,
-                                                   monkeypatch, jobs):
-    def refuse(*args):
-        raise AssertionError("work started")
-
-    monkeypatch.setattr(pipeline, "_stage1_coefficients", refuse)
-    monkeypatch.setattr(simstudy, "simulate_study", refuse)
-    vol_path, _ = blocked_civt
-    rc = main(["fit", "--input", str(vol_path), "--format", "civt", "--d", "10",
-               "--k-set", "2..4", "--jobs", jobs, "--out", str(tmp_path / "x")])
-    assert rc == 2
-    assert "jobs must be at least 1" in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
-    out = tmp_path / "report.csv"
-    rc = main(["simulate", "--study", "s1", "--grid", "30x40", "--replicates", "2",
-               "--methods", "kmeans", "--jobs", jobs, "--out", str(out)])
-    assert rc == 2
-    assert "jobs must be at least 1" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_fit_outputs_do_not_depend_on_jobs(tmp_path, blocked_civt):
-    vol_path, _ = blocked_civt
-    outs = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
-        assert main(["fit", "--input", str(vol_path), "--format", "civt",
-                     "--d", "10", "--k-set", "2..6", "--restarts", "3",
-                     "--seed", "4", "--jobs", jobs, "--out", str(out)]) == 0
-        outs.append(out)
-    files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
-    assert len(files) == 12
-    for rel in files:
-        a, b = (out / rel for out in outs)
-        if rel.name == "trace.csv":
-            strip = [",".join(line.split(",")[:3]) for line in a.read_text().splitlines()]
-            assert strip == [",".join(line.split(",")[:3])
-                             for line in b.read_text().splitlines()]
-        else:
-            assert a.read_bytes() == b.read_bytes(), rel
-
-
-def test_jobs_default_without_an_affinity_call(monkeypatch):
-    monkeypatch.delattr("os.sched_getaffinity", raising=False)
-    monkeypatch.setattr("os.cpu_count", lambda: 3)
-    args = build_parser().parse_args(["simulate", "--study", "s1", "--grid", "5x9",
-                                      "--out", "r.csv"])
-    assert args.jobs == 3

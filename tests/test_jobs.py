@@ -5,12 +5,14 @@ import multiprocessing
 import os
 import traceback
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdcluster import pipeline, simstudy, tclust
 from fdcluster.pipeline import FallbackWarning, RunConfig, run_two_stage
 from fdcluster.selection import SlopeEstimationError
 from fdcluster.simstudy import SimConfig, run_study
@@ -21,6 +23,13 @@ from test_pipeline import blocked_volume
 def _record(log, item):
     log.append(item)
     return item * 10, os.getpid()
+
+
+def _record_then_fail_at_9(log, item):
+    log.append(item)
+    if item == 9:
+        raise ValueError("item 9 failed")
+    return item
 
 
 def _fail_odd(shared, item):
@@ -38,12 +47,41 @@ def _read_shared(shared, item):
     return float(shared[0][item])
 
 
-def test_in_process_map_dispatches_costliest_first():
+def test_in_process_map_runs_in_input_order_and_stops_at_first_failure():
     log = []
     items = [3, 1, 4, 1, 5, 9, 2, 6]
     results = map_tasks(_record, log, items, cost=lambda item: item % 4, jobs=1)
     assert [value for value, _ in results] == [10 * item for item in items]
     assert {pid for _, pid in results} == {os.getpid()}
+    assert log == items
+    log.clear()
+    with pytest.raises(ValueError, match=r"^item 9 failed$"):
+        map_tasks(_record_then_fail_at_9, log, items, cost=lambda item: item, jobs=1)
+    assert log == [3, 1, 4, 1, 5, 9]
+
+
+class _RunHerePool:
+    """Stands in for the process pool: runs each call when it is submitted."""
+
+    def __init__(self, workers, context, initializer, initargs):
+        initializer(*initargs)
+
+    def submit(self, fn, item):
+        future = Future()
+        future.set_result(fn(item))
+        return future
+
+    def shutdown(self, cancel_futures):
+        pass
+
+
+def test_pool_dispatches_costliest_first(monkeypatch):
+    monkeypatch.setattr(tclust, "ProcessPoolExecutor", _RunHerePool)
+    monkeypatch.setattr(tclust, "_worker_task", None)
+    log = []
+    items = [3, 1, 4, 1, 5, 9, 2, 6]
+    results = map_tasks(_record, log, items, cost=lambda item: item % 4, jobs=2)
+    assert [value for value, _ in results] == [10 * item for item in items]
     # cost 3, then 2, 1 and 0; equal costs keep their input order
     assert log == [3, 2, 6, 1, 1, 5, 9, 4]
 
@@ -70,8 +108,8 @@ def test_shared_argument_reaches_workers_without_pickle():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_first_failing_item_in_input_order_is_raised(jobs):
-    # the costliest item (7) runs first and fails; item 1 fails too and
-    # comes first in input order, so its exception is the one raised
+    # in a pool the costliest item (7) runs first and fails; item 1 fails
+    # too and comes first in input order, so its exception is the one raised
     with pytest.raises(ValueError, match=r"^item 1 failed$") as info:
         map_tasks(_fail_odd, None, [0, 1, 2, 7, 4], cost=lambda item: item,
                   jobs=jobs)
@@ -169,3 +207,17 @@ def test_study_is_identical_for_any_jobs():
     assert len(serial.rows) == 6
     assert ([[getattr(r, c) for c in columns] for r in serial.rows]
             == [[getattr(r, c) for c in columns] for r in pooled.rows])
+
+
+def test_jobs_below_one_is_refused_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(pipeline, "_stage1_coefficients", refuse)
+    monkeypatch.setattr(simstudy, "simulate_study", refuse)
+    vol, _ = blocked_volume(nx=2, ny=2, nz=3)
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_two_stage(vol, RunConfig(d=8, k_set=(2, 3)), jobs=jobs)
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_study("S1", [(30, 40)], replicates=2, methods=("kmeans",), jobs=jobs)
