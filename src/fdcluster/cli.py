@@ -84,6 +84,8 @@ def _build_run_config(args) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{args.config}: the config must be a JSON object")
         unknown = set(loaded) - set(CONFIG_FIELDS)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")

@@ -49,6 +49,11 @@ _CIVT_HEADER_BYTES = 40     # magic, five u32, two f64
 # work per row, so the coefficients do not depend on this number.
 _STAGE1_ROWS = 256
 
+# Series values per stage-1 task (about 0.1 s of filtering): a task is the
+# most whole blocks that fit in this, and at least one block. A volume that
+# fits in one task is filtered in the calling process.
+_STAGE1_TASK_VALUES = 2 ** 23
+
 # 16 fixed colors; slice images index them by label mod 16, trimmed voxels
 # render black.
 PALETTE = np.array([
@@ -325,12 +330,10 @@ def export_cluster_map(cv: ClusterVolume, csv_path, civl_path=None) -> None:
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "z", "label", "trimmed"])
-        i = 0
-        for z in range(nz):
-            for y in range(ny):
-                for x in range(nx):
-                    writer.writerow([x, y, z, int(cv.labels[i]), int(cv.trimmed[i])])
-                    i += 1
+        z, y, x = np.unravel_index(np.arange(cv.labels.size), (nz, ny, nx))
+        writer.writerows(zip(x.tolist(), y.tolist(), z.tolist(),
+                             cv.labels.astype(np.int64).tolist(),
+                             cv.trimmed.astype(np.int64).tolist()))
     if civl_path is not None:
         save_labels_civl(cv, civl_path)
 
@@ -407,10 +410,12 @@ def render_slice(cv: ClusterVolume, axis: str, index: int, path) -> None:
 # ---------------------------------------------------------------------------
 # orchestration
 
-def _release_rows(series: np.ndarray, row: int, done: int) -> int:
+def _release_rows(series: np.ndarray, row: int, done: int | None) -> int | None:
     """Drop this process's mapped pages of a file-backed series that hold
     only rows before `row`, from byte `done` of the mapping on; return the
-    new `done`. In-memory series have nothing to drop.
+    new `done`. `done=None` starts a pass at `row`: nothing is dropped and
+    the page-aligned offset of `row` is returned. In-memory series have
+    nothing to drop.
 
     Mapped file pages count towards the resident set (and its peak) until
     unmapped, so a pass over a mapped volume would otherwise end with the
@@ -424,33 +429,55 @@ def _release_rows(series: np.ndarray, row: int, done: int) -> int:
     end = (series.offset % mmap.ALLOCATIONGRANULARITY
            + row * series.shape[1] * series.itemsize)
     end -= end % mmap.PAGESIZE
+    if done is None:
+        return end
     if end <= done:
         return done
     mapping.madvise(mmap.MADV_DONTNEED, done, end - done)
     return end
 
 
-def _stage1_coefficients(vol: VolumeSeries, design, detrended: bool) -> np.ndarray:
+def _filter_rows(shared, rows) -> None:
+    """Filter rows [lo, hi) into `coefs` in place, one block at a time, and
+    release the mapped pages this task read."""
+    vol, design, detrended, coefs = shared
+    lo, hi = rows
+    released = _release_rows(vol.series, lo, None)
+    for start in range(lo, hi, _STAGE1_ROWS):
+        stop = min(start + _STAGE1_ROWS, hi)
+        block = np.asarray(vol.series[start:stop], dtype=float)
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            voxel = start + int(np.argmin(finite))
+            raise ValueError(f"volume contains non-finite values (voxel {voxel})")
+        if detrended:
+            block = detrend(block, vol.grid)
+        coefs[start:stop] = ols_fit(design, block)
+        released = _release_rows(vol.series, stop, released)
+
+
+def _stage1_coefficients(vol: VolumeSeries, design, detrended: bool,
+                         jobs: int = 1) -> np.ndarray:
     """Raw n x d coefficients, filtered in blocks of `_STAGE1_ROWS` voxels.
 
     Each block is converted to float64, checked to be finite, detrended when
     asked and projected. `detrend` and `ols_fit` are looked up in this
     module's globals on every block.
+
+    The rows are split into tasks of whole blocks, about
+    `_STAGE1_TASK_VALUES` series values each, run on up to `jobs`
+    processes (`map_tasks`). The tasks write into one anonymous shared
+    mapping, so no row is pickled and this process reads no series when the
+    tasks run in workers. A non-finite value raises ValueError naming the
+    lowest such voxel, whatever `jobs` is.
     """
-    n = vol.n
-    coefs = np.empty((n, design.d))
-    released = 0
-    for lo in range(0, n, _STAGE1_ROWS):
-        hi = min(lo + _STAGE1_ROWS, n)
-        block = np.asarray(vol.series[lo:hi], dtype=float)
-        finite = np.isfinite(block).all(axis=1)
-        if not finite.all():
-            voxel = lo + int(np.argmin(finite))
-            raise ValueError(f"volume contains non-finite values (voxel {voxel})")
-        if detrended:
-            block = detrend(block, vol.grid)
-        coefs[lo:hi] = ols_fit(design, block)
-        released = _release_rows(vol.series, hi, released)
+    n, d = vol.n, design.d
+    # MAP_SHARED (mmap's default), so rows written by a forked worker land here
+    coefs = np.frombuffer(mmap.mmap(-1, n * d * 8), dtype=float).reshape(n, d)
+    step = _STAGE1_ROWS * max(1, _STAGE1_TASK_VALUES // (_STAGE1_ROWS * vol.m))
+    tasks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    map_tasks(_filter_rows, (vol, design, detrended, coefs), tasks,
+              cost=lambda rows: rows[1] - rows[0], jobs=jobs)
     return coefs
 
 
@@ -482,9 +509,9 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig, jobs: int = 1) -> TwoStageR
     """Filter, sweep cluster counts, select k, and allocate every voxel.
 
     Candidates above the n voxels, or `jobs` below 1, raise ValueError
-    before any series is read. Stage 1 streams the series in blocks
-    (`_stage1_coefficients`); a non-finite value raises ValueError naming
-    its voxel.
+    before any series is read. Stage 1 streams the series in blocks, as
+    row-range tasks on up to `jobs` processes (`_stage1_coefficients`); a
+    non-finite value raises ValueError naming its (lowest) voxel.
 
     The candidates are fitted on up to `jobs` processes (`map_tasks`;
     in a pool, largest k first). Each has its own seed stream, so the result does not
@@ -506,7 +533,7 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig, jobs: int = 1) -> TwoStageR
                          "remove them from the candidate set")
     system = make_bspline_system((vol.grid.t_lo, vol.grid.t_hi), cfg.d)
     design = design_matrix(system, vol.grid)
-    coefs = _stage1_coefficients(vol, design, cfg.detrend)
+    coefs = _stage1_coefficients(vol, design, cfg.detrend, jobs)
 
     n = coefs.shape[0]
     stats = None

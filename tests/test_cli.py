@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fdcluster import pipeline, simstudy
+from fdcluster import cli, pipeline, simstudy
 from fdcluster.basis import TimeGrid
 from fdcluster.cli import main
 from fdcluster.pipeline import VolumeSeries, load_labels_civl, save_volume_civt
@@ -140,6 +140,23 @@ def test_fit_non_finite_value_in_the_last_block_is_validation_error(tmp_path, ca
                "--k-set", "2", "--restarts", "1", "--out", str(tmp_path / "x")])
     assert rc == 2
     assert f"non-finite values (voxel {n - 1})" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("text", ["7", "[1, 2]", '"d"'], ids=["number", "list", "string"])
+def test_fit_config_that_is_not_an_object_is_refused_before_the_volume_is_read(
+        tmp_path, blocked_civt, capsys, monkeypatch, text):
+    def load(*args):
+        raise AssertionError("the volume was read")
+
+    monkeypatch.setattr(cli, "load_volume", load)
+    vol_path, _ = blocked_civt
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    rc = main(["fit", "--input", str(vol_path), "--format", "civt",
+               "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert f"{cfg_path}: the config must be a JSON object" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 

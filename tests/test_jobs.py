@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdcluster import pipeline, simstudy, tclust
-from fdcluster.pipeline import FallbackWarning, RunConfig, run_two_stage
+from fdcluster import cli, pipeline, simstudy, tclust
+from fdcluster.basis import TimeGrid
+from fdcluster.pipeline import (FallbackWarning, RunConfig, VolumeSeries,
+                                load_volume, run_two_stage, save_volume_civt)
 from fdcluster.selection import SlopeEstimationError
 from fdcluster.simstudy import SimConfig, run_study
 from fdcluster.tclust import map_tasks
@@ -221,3 +223,40 @@ def test_jobs_below_one_is_refused_before_any_work(monkeypatch):
             run_two_stage(vol, RunConfig(d=8, k_set=(2, 3)), jobs=jobs)
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             run_study("S1", [(30, 40)], replicates=2, methods=("kmeans",), jobs=jobs)
+
+
+@pytest.fixture
+def civt_with_two_bad_voxels(tmp_path, monkeypatch):
+    """A CIVT volume with non-finite values at voxels 7 and 9, which lie in
+    different stage-1 tasks once a task is one block of 4 voxels."""
+    monkeypatch.setattr(pipeline, "_STAGE1_ROWS", 4)
+    monkeypatch.setattr(pipeline, "_STAGE1_TASK_VALUES", 1)
+    rng = np.random.default_rng(6)
+    n, m = 24, 12
+    series = rng.standard_normal((n, m))
+    vol = VolumeSeries(dims=(n, 1, 1), series=series, grid=TimeGrid.uniform(0.0, 1.0, m))
+    path = tmp_path / "vol.civt"
+    save_volume_civt(vol, path)
+    data = np.fromfile(path, dtype=np.uint8)
+    payload = data[pipeline._CIVT_HEADER_BYTES:].view("<f4").reshape(n, m)
+    payload[9, 0] = np.inf      # the first value of the higher task
+    payload[7, -1] = np.nan     # the last value of the lower one
+    data.tofile(path)
+    return path
+
+
+def test_non_finite_values_in_two_tasks_name_the_lower_voxel(civt_with_two_bad_voxels):
+    vol = load_volume(civt_with_two_bad_voxels, "civt")
+    with pytest.raises(ValueError, match=r"non-finite values \(voxel 7\)"):
+        run_two_stage(vol, RunConfig(d=6, k_set=(2,), restarts=1), jobs=2)
+
+
+def test_fit_with_non_finite_values_in_two_tasks_leaves_no_output(
+        civt_with_two_bad_voxels, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "x"
+    rc = cli.main(["fit", "--input", str(civt_with_two_bad_voxels), "--format", "civt",
+                   "--d", "6", "--k-set", "2", "--restarts", "1", "--out", str(out)])
+    assert rc == 2
+    assert "non-finite values (voxel 7)" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import itertools
+import mmap
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -193,11 +195,42 @@ def test_stage1_streams_a_mapped_volume_in_bounded_memory(tmp_path):
     assert peak < n * m * 8 / 4
 
 
+class _AdviceLog:
+    """Stands in for a memmap's mmap: records the ranges it is told to drop."""
+
+    def __init__(self):
+        self.calls = []
+
+    def madvise(self, option, start, length):
+        self.calls.append((start, length))
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_DONTNEED"), reason="no madvise")
+def test_release_rows_started_mid_file_drops_nothing_before_its_first_row(
+        tmp_path, monkeypatch):
+    # one page per row; the 40-byte header puts each row 40 bytes into a page
+    page, n = mmap.PAGESIZE, 12
+    m = page // 4
+    vol = VolumeSeries(dims=(n, 1, 1), series=np.zeros((n, m)),
+                       grid=TimeGrid.uniform(0.0, 1.0, m))
+    save_volume_civt(vol, tmp_path / "v.civt")
+    series = load_volume(tmp_path / "v.civt", "civt").series
+    log = _AdviceLog()
+    monkeypatch.setattr(series, "_mmap", log)
+    done = pipeline._release_rows(series, 5, None)
+    assert done == 5 * page and log.calls == []
+    assert pipeline._release_rows(series, 9, done) == 9 * page
+    assert log.calls == [(5 * page, 4 * page)]
+    assert pipeline._release_rows(series, 9, 9 * page) == 9 * page
+    assert log.calls == [(5 * page, 4 * page)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 30), st.integers(2, 40), st.integers(4, 12), st.booleans(),
        st.integers(0, 2 ** 32 - 1))
 def test_stage1_coefficients_do_not_depend_on_the_block_size(n, m, d, detrended, seed):
-    """Block sizes 1, 7 and the default give the same bits, for in-memory
+    """Block sizes 1, 7 and the default, tasks of one block and of the
+    default size, and 1 or 2 processes give the same bits, for in-memory
     and file-backed series alike; m < d gives a rank-deficient design."""
     rng = np.random.default_rng(seed)
     grid = TimeGrid.uniform(0.0, 2.0, m)
@@ -213,11 +246,14 @@ def test_stage1_coefficients_do_not_depend_on_the_block_size(n, m, d, detrended,
         save_volume_civt(vol, path)
         mapped = load_volume(path, "civt")
         results = []
-        for rows in (1, 7, pipeline._STAGE1_ROWS):
+        for rows, values, jobs in itertools.product(
+                (1, 7, pipeline._STAGE1_ROWS), (1, pipeline._STAGE1_TASK_VALUES), (1, 2)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(pipeline, "_STAGE1_ROWS", rows)
+                mp.setattr(pipeline, "_STAGE1_TASK_VALUES", values)
                 for source in (vol, mapped):
-                    results.append(pipeline._stage1_coefficients(source, design, detrended))
+                    results.append(pipeline._stage1_coefficients(
+                        source, design, detrended, jobs))
         del mapped
     for coefs in results[1:]:
         np.testing.assert_array_equal(coefs, results[0])
@@ -310,6 +346,18 @@ class TestClusterMapExport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x,y,z,label,trimmed"
         assert lines[1:] == ["0,0,0,1,0", "1,0,0,2,0", "0,1,0,3,0", "1,1,0,4,0"]
+
+    def test_csv_bytes_of_a_non_cubic_volume_with_trimmed_voxels(self, tmp_path):
+        cv = ClusterVolume(dims=(3, 2, 2), labels=[1, 2, 3, 1, 2, 3, 3, 2, 1, 1, 1, 2],
+                           trimmed=np.isin(np.arange(12), [2, 7, 11]), k=3)
+        path = tmp_path / "labels.csv"
+        export_cluster_map(cv, path)
+        assert path.read_bytes() == (
+            b"x,y,z,label,trimmed\r\n"
+            b"0,0,0,1,0\r\n1,0,0,2,0\r\n2,0,0,3,1\r\n"
+            b"0,1,0,1,0\r\n1,1,0,2,0\r\n2,1,0,3,0\r\n"
+            b"0,0,1,3,0\r\n1,0,1,2,1\r\n2,0,1,1,0\r\n"
+            b"0,1,1,1,0\r\n1,1,1,1,0\r\n2,1,1,2,1\r\n")
 
     def test_out_of_range_labels_rejected_at_write(self, tmp_path):
         cv = ClusterVolume(dims=(2, 1, 1), labels=[1, 2], trimmed=[False, False], k=2)
