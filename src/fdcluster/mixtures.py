@@ -8,12 +8,12 @@ returned by allocation functions are 1-based (clusters 1..k).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
 from .basis import coef_values
 
@@ -105,17 +105,51 @@ class MeanModel:
 def component_log_densities(B: np.ndarray, params: GmmParams) -> np.ndarray:
     """(n, k) matrix of log pi_c + log N(b_i; mu_c, V_c), via Cholesky factors."""
     n, d = B.shape
+    # one stacked call runs the same LAPACK factorization on each matrix
+    try:
+        factors = np.linalg.cholesky(params.covariances)
+    except np.linalg.LinAlgError:
+        for c, V in enumerate(params.covariances):
+            try:
+                np.linalg.cholesky(V)
+            except np.linalg.LinAlgError as exc:
+                raise ValueError(f"covariance {c} is not positive definite") from exc
+        raise
     out = np.empty((n, params.k))
-    for c in range(params.k):
-        try:
-            L = np.linalg.cholesky(params.covariances[c])
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"covariance {c} is not positive definite") from exc
+    for c, L in enumerate(factors):
         diff = (B - params.means[c]).T
         y = solve_triangular(L, diff, lower=True)
         logdet = 2.0 * np.sum(np.log(np.diag(L)))
         quad = np.einsum("ij,ij->j", y, y)
         out[:, c] = math.log(params.weights[c]) - 0.5 * (d * LOG_2PI + logdet + quad)
+    return out
+
+
+def row_logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum_j exp(a[i, j]) for each row of a 2-D float array.
+
+    Bit for bit the value of scipy.special.logsumexp(a, axis=1), without
+    its per-call overhead: with M the row maximum and c the number of
+    entries equal to it, s = sum of exp(a - M) over the other entries,
+    divided by c, and the result is log1p(s) + log(c) + M. Rows where that
+    is not finite (M infinite or NaN, or an overflow) get
+    log(sum(exp(a))) instead.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the max and the count are exact in any order, and a loop over the
+        # k columns beats a reduction along short rows; the sum below is
+        # the same axis-1 reduction scipy makes, so it rounds the same way
+        top = functools.reduce(np.maximum, a.T)
+        at_top = a == top[:, None]
+        count = functools.reduce(np.add, at_top.T, 0.0)
+        terms = np.exp(a - top[:, None])
+        terms[at_top] = 0.0
+        # a zero term adds nothing wherever it falls, and s / c is s when
+        # s is 0 (c >= 1 on every row with a finite result)
+        out = np.log1p(terms.sum(axis=1) / count) + np.log(count) + top
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
     return out
 
 
@@ -131,7 +165,7 @@ def mixture_log_density(b: np.ndarray, params: GmmParams) -> float:
     """log sum_c pi_c N(b; mu_c, V_c), stabilized with log-sum-exp."""
     b = np.asarray(b, dtype=float)
     scores = component_log_densities(b[None, :], params)
-    return float(logsumexp(scores[0]))
+    return float(row_logsumexp(scores)[0])
 
 
 def _sq_distances(U: np.ndarray, means: np.ndarray) -> np.ndarray:
@@ -276,7 +310,7 @@ def spherical_log_likelihood(B, model: MeanModel) -> float:
     for lo in range(0, U.shape[0], _NEAREST_ROWS):
         block = U[lo:lo + _NEAREST_ROWS]
         scores = const - _sq_distances(block, model.means) / (2.0 * lam)
-        rows[lo:lo + _NEAREST_ROWS] = logsumexp(scores, axis=1)
+        rows[lo:lo + _NEAREST_ROWS] = row_logsumexp(scores)
     return math.fsum(rows)
 
 

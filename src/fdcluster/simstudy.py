@@ -16,11 +16,11 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .basis import (TimeGrid, coef_values, design_matrix, make_bspline_system,
                     ols_fit)
-from .mixtures import GmmParams, bayes_allocate, component_log_densities
+from .mixtures import (GmmParams, bayes_allocate, component_log_densities,
+                       row_logsumexp)
 from .tclust import TrimSpec, allocate_all, map_tasks, seed_int, trimmed_kmeans
 
 DEFAULT_METHODS = ("gmm", "kmeans", "trimmed:0.25", "trimmed:0.5")
@@ -142,7 +142,7 @@ def simulate_study(cfg: SimConfig) -> LabeledDataset:
 def _em_loglik(B: np.ndarray, params: GmmParams) -> tuple[float, np.ndarray]:
     """Sample log-likelihood plus the (n, k) joint log-density matrix."""
     scores = component_log_densities(B, params)
-    row_lse = logsumexp(scores, axis=1)
+    row_lse = row_logsumexp(scores)
     return float(np.sum(row_lse)), scores - row_lse[:, None]
 
 
@@ -322,6 +322,15 @@ def run_study(study: str, grid_cells, replicates: int,
     cells = [(int(m), int(n)) for m, n in grid_cells]
     configs = [SimConfig(study=study, n=n, m=m) if base_config is None
                else replace(base_config, study=study, n=n, m=m) for m, n in cells]
+    for cfg in configs:
+        for spec, (name, alpha) in zip(methods, parsed):
+            if name == "gmm":
+                if cfg.n <= cfg.k_true:
+                    raise ValueError(f"cell {cfg.m}x{cfg.n}: gmm needs more points "
+                                     f"than its {cfg.k_true} components")
+            elif (h := TrimSpec(alpha).retained_count(cfg.n)) < cfg.k_true:
+                raise ValueError(f"cell {cfg.m}x{cfg.n}: {spec} retains {h} points, "
+                                 f"fewer than k={cfg.k_true}")
     root = np.random.SeedSequence(seed)
     tasks = [(cfg, rep_seq)
              for cfg, cell_seq in zip(configs, root.spawn(len(cells)))

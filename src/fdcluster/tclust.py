@@ -102,9 +102,13 @@ def _certified_retain(U: np.ndarray, model: MeanModel, h: int,
     and trims them whatever its tie-break. Only the rows in between (every
     row scoring equal to the h-th among them) get exact scores, and
     `_retain` picks the rest of the h from them in ascending index order
-    (all of them when they are exactly that many).
+    (all of them when they are exactly that many). When h is every row,
+    both rules keep them all, and no cut is made.
     """
     labels, est, bound = nearest_search(U, model.means, u_sq)
+    R, n = labels.shape
+    if h == n:
+        return np.tile(np.arange(n), (R, 1)), labels
     cut = np.partition(est, h - 1, axis=1)[:, h - 1]
     t = 2.0 * model.scale
     margin = 16.0 * 2.0 ** -53 * (np.abs(cut) + bound + t * abs(model.log_score_const))
@@ -124,7 +128,13 @@ def _certified_retain(U: np.ndarray, model: MeanModel, h: int,
 
 
 def _classify(U: np.ndarray, model: MeanModel, h: int, u_sq: np.ndarray | None = None):
-    """Nearest-mean labels of every point, trim flags, and the trimmed objective."""
+    """Nearest-mean labels of every point, trim flags, and the trimmed objective.
+
+    One exact search, scoring and retain over all n rows: `trimmed_kmeans`
+    needs it for a restart stopped at `max_iter` or left with an empty
+    cluster, and for the labels and trim flags of a winner scored from its
+    last step.
+    """
     n = U.shape[0]
     labels = nearest_search(U, model.means, u_sq)[0]
     scores = _scores(model, chosen_sq_distances(U, model.means, labels))
@@ -275,6 +285,14 @@ def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,
     time once n > _CHUNK); a restart leaves the batch when it stops and the
     next one takes its place. Batching changes no restart's result.
 
+    A restart that stopped on a repeat with no cluster empty is scored from
+    its last step: that step recentered the same kept rows and clusters as
+    the step before, so it returned, bit for bit, the means it scored, and
+    its certified retain is already the exact one; the objective is the
+    ascending sum of its kept rows' exact scores. Any other restart gets a
+    full `_classify`, and so does a winner scored the first way, once, for
+    its labels and trim flags.
+
     `init_means` replaces the random initialization (restarts is then
     forced to 1), which is how reference runs reproduce a specific start.
     """
@@ -328,21 +346,33 @@ def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,
 
         model, kept, kept_labels = tclust_step(U, MeanModel(means, scale), h, u_sq)
         iterations += 1
-        done = ((kept == prev_kept).all(axis=1) & (kept_labels == prev_labels).all(axis=1)
-                | (iterations == max_iter))
+        repeated = (kept == prev_kept).all(axis=1) & (kept_labels == prev_labels).all(axis=1)
+        done = repeated | (iterations == max_iter)
         stay = ~done
-        # drop the batch's kept rows before scoring the leaving restarts (peak memory)
+        # the kept rows and 0-based clusters of each restart scored from its
+        # last step, copied out so that the batch's rows can be dropped
+        # before any restart is scored (peak memory)
+        last = {j: (kept[j].copy(), kept_labels[j] - 1) for j in np.flatnonzero(repeated)
+                if np.bincount(kept_labels[j], minlength=k + 1)[1:].all()}
         prev_kept, prev_labels = kept[stay], kept_labels[stay]
         del kept, kept_labels
         for j in np.flatnonzero(done):
             fit = MeanModel(model.means[j], scale)
-            labels, trimmed, objective = _classify(U, fit, h, u_sq)
+            if j in last:
+                rows, lab = last.pop(j)
+                labels = trimmed = None
+                d2 = chosen_sq_distances(U, fit.means, lab, rows)
+                objective = float(np.sum(_scores(fit, d2))) / n
+            else:
+                labels, trimmed, objective = _classify(U, fit, h, u_sq)
             r = int(order[j])
             if best is None or objective > best[0] or (objective == best[0] and r < best[5]):
                 best = (objective, fit, labels, trimmed, int(iterations[j]), r)
         order, means, iterations = order[stay], model.means[stay], iterations[stay]
 
     objective, model, labels, trimmed, iterations, r = best
+    if labels is None:
+        labels, trimmed, _ = _classify(U, model, h, u_sq)
     final_model, perm = model.finalized()
     relabel = np.empty(k, dtype=np.int64)
     relabel[perm] = np.arange(k)

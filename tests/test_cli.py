@@ -294,3 +294,21 @@ def test_simulate_zero_restarts_is_refused_before_simulating(tmp_path, capsys,
     assert rc == 2
     assert "restarts must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, method, message", [
+    ("100x5", "gmm", "gmm needs more points than its 5 components"),
+    ("100x8", "trimmed:0.5", "trimmed:0.5 retains 4 points, fewer than k=5"),
+])
+def test_simulate_cell_too_small_is_refused_before_simulating(tmp_path, capsys, monkeypatch,
+                                                              grid, method, message):
+    def simulate(*args):
+        raise AssertionError("data was simulated")
+
+    monkeypatch.setattr(simstudy, "simulate_study", simulate)
+    out = tmp_path / "report.csv"
+    rc = main(["simulate", "--study", "s1", "--grid", f"30x40,{grid}",
+               "--methods", f"kmeans,{method}", "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -1,15 +1,22 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import fdcluster
 import fdcluster.mixtures as mixtures
 from fdcluster.mixtures import (GmmParams, MeanModel, bayes_allocate,
-                                gaussian_log_density, kmeans_allocate,
-                                mixture_log_density, spherical_log_likelihood)
+                                component_log_densities, gaussian_log_density,
+                                kmeans_allocate, mixture_log_density, row_logsumexp,
+                                spherical_log_likelihood)
 from fdcluster.simstudy import fit_gmm_em
 
 LOG_2PI = math.log(2 * math.pi)
@@ -52,6 +59,45 @@ class TestGaussianLogDensity:
     def test_non_positive_definite_rejected(self):
         with pytest.raises(ValueError):
             gaussian_log_density(np.zeros(2), np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+    def test_stack_names_its_first_non_positive_definite_covariance(self):
+        covs = np.stack([np.eye(2), [[1.0, 2.0], [2.0, 1.0]], -np.eye(2)])
+        params = GmmParams(np.full(3, 1 / 3), np.zeros((3, 2)), covs)
+        with pytest.raises(ValueError, match="covariance 1 is not positive definite"):
+            component_log_densities(np.zeros((4, 2)), params)
+
+
+@st.composite
+def score_rows(draw):
+    """(n, k) log-scores with exact ties (a few shared values), -inf entries,
+    whole -inf rows and magnitudes up to 1e300."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 20))
+    wide = st.floats(-1e300, 1e300, allow_nan=False)
+    shared = draw(st.lists(st.one_of(wide, st.floats(-50, 50)), min_size=1, max_size=3))
+    values = st.one_of(st.sampled_from(shared), st.floats(-800, 800), wide,
+                       st.just(-np.inf))
+    a = draw(hnp.arrays(np.float64, (n, k), elements=values))
+    a[draw(st.lists(st.integers(0, n - 1), max_size=2))] = -np.inf
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(score_rows())
+def test_row_logsumexp_is_scipys_bit_for_bit(a):
+    expected = scipy.special.logsumexp(a, axis=1)
+    np.testing.assert_array_equal(row_logsumexp(a).view(np.int64), expected.view(np.int64))
+
+
+def test_importing_the_cli_leaves_scipy_special_unloaded():
+    src = str(Path(fdcluster.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, fdcluster.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestMixtureLogDensity:

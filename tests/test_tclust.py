@@ -325,6 +325,47 @@ def _fit_under_cap(case, cap):
         return trimmed_kmeans(U, k, trim, restarts=restarts, max_iter=max_iter, seed=seed)
 
 
+def _reference_fit(U, k, trim, restarts, max_iter, seed, init_means=None):
+    """The multi-start driver one restart at a time, every restart scored by
+    a full `_classify` of its final means."""
+    n = U.shape[0]
+    h = trim.retained_count(n)
+    best = None
+    for r in range(restarts):
+        if init_means is None:
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+            model = MeanModel(U[rng.choice(n, size=k, replace=False)])
+        else:
+            model = MeanModel(init_means)
+        last = None
+        for iterations in range(1, max_iter + 1):
+            model, kept, labels = tclust_step(U, model, h)
+            if (last is not None and np.array_equal(kept, last[0])
+                    and np.array_equal(labels, last[1])):
+                break
+            last = kept, labels
+        labels, trimmed, objective = tclust._classify(U, model, h)
+        if best is None or objective > best[0]:
+            best = (objective, model, labels, trimmed, iterations, r)
+    objective, model, labels, trimmed, iterations, r = best
+    final, perm = model.finalized()
+    relabel = np.empty(k, dtype=np.int64)
+    relabel[perm] = np.arange(k)
+    return final, relabel[labels - 1] + 1, trimmed, objective, iterations, r
+
+
+def _assert_fit_is(fit, reference):
+    model, labels, trimmed, objective, iterations, r = reference
+    np.testing.assert_array_equal(fit.labels, labels)
+    assert fit.labels.dtype == labels.dtype
+    np.testing.assert_array_equal(fit.trimmed, trimmed)
+    np.testing.assert_array_equal(fit.model.means, model.means)
+    assert fit.model.scale == model.scale
+    assert fit.objective == objective
+    assert fit.iterations == iterations
+    assert fit.restart_index == r
+
+
 @settings(max_examples=300, deadline=None)
 @given(fit_cases())
 # all rows but one are equal: most starts put two means on the same point
@@ -332,14 +373,25 @@ def _fit_under_cap(case, cap):
 # one cluster, no trimming: every restart ends on the same objective
 @example((np.arange(12.0).reshape(6, 2), 1, TrimSpec(0.0), 5, 4, 2))
 def test_fit_does_not_depend_on_the_batch_cap(case):
-    fits = [_fit_under_cap(case, cap) for cap in (1, 2, None)]
-    for fit in fits[1:]:
-        np.testing.assert_array_equal(fit.labels, fits[0].labels)
-        np.testing.assert_array_equal(fit.trimmed, fits[0].trimmed)
-        np.testing.assert_array_equal(fit.model.means, fits[0].model.means)
-        assert fit.objective == fits[0].objective
-        assert fit.iterations == fits[0].iterations
-        assert fit.restart_index == fits[0].restart_index
+    # and equals the one-restart reference, so a restart scored from its
+    # last step gets the objective a full classification gives it
+    reference = _reference_fit(*case)
+    for cap in (1, 2, None):
+        _assert_fit_is(_fit_under_cap(case, cap), reference)
+
+
+def test_a_restart_that_repeats_with_an_empty_cluster_is_classified():
+    # step 1 leaves cluster 2 empty and reseeds it on row 0, where cluster 0
+    # lands too; step 2 repeats the kept rows and labels, cluster 2 empty
+    # again (the tie goes to cluster 0), and reseeds it on row 2, which its
+    # last step scored under cluster 1: only a full classification of the
+    # returned means moves row 2 to cluster 2
+    U = np.array([[0.0], [0.0], [8.0], [12.0]])
+    init = np.array([[-3.0], [10.0], [100.0]])
+    fit = trimmed_kmeans(U, 3, TrimSpec(0.0), init_means=init)
+    assert fit.iterations == 2
+    np.testing.assert_array_equal(fit.model.means, [[0.0], [8.0], [10.0]])
+    _assert_fit_is(fit, _reference_fit(U, 3, TrimSpec(0.0), 1, 20, 0, init))
 
 
 def test_objective_tie_goes_to_the_first_restart_across_batches():
