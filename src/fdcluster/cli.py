@@ -36,13 +36,16 @@ def _parse_k_set(text: str):
         part = part.strip()
         if not part:
             continue
-        if ".." in part:
-            lo, hi = (int(v) for v in part.split("..", 1))
-            if lo > hi:
-                raise ValueError(f"descending range {part!r} in k set")
-            ks.extend(range(lo, hi + 1))
-        else:
-            ks.append(int(part))
+        lo, sep, hi = part.partition("..")
+        try:
+            lo = int(lo)
+            hi = int(hi) if sep else lo
+        except ValueError:
+            raise ValueError(f"k set entry {part!r} is not an integer k "
+                             "or a range lo..hi") from None
+        if lo > hi:
+            raise ValueError(f"descending range {part!r} in k set")
+        ks.extend(range(lo, hi + 1))
     if not ks:
         raise ValueError(f"empty k set {text!r}")
     return tuple(sorted(set(ks)))
@@ -55,8 +58,11 @@ def _parse_grid(text: str):
         part = part.strip()
         if not part:
             continue
-        m, n = part.split("x", 1)
-        cells.append((int(m), int(n)))
+        m, _, n = part.partition("x")
+        try:
+            cells.append((int(m), int(n)))
+        except ValueError:
+            raise ValueError(f"grid entry {part!r} is not of the form MxN") from None
     if not cells:
         raise ValueError(f"empty grid {text!r}")
     return cells
@@ -175,14 +181,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_select(args) -> int:
+    if args.n is not None and args.n < 1:
+        raise ValueError("--n must be at least 1")
     trace = SelectionTrace.read_csv(args.trace, n_points=args.n)
     pen = PENALTIES[args.penalty]
     rebuilt = SelectionTrace(n_points=trace.n_points)
     for k, loglik, _, seconds in trace.records:
         rebuilt.add(k, loglik, pen(k, args.d), seconds)
     if args.kappa is not None:
-        if args.kappa <= 0:
-            raise ValueError("kappa must be positive")
         if args.n is None:
             raise ValueError("an explicit --kappa needs --n to scale the loss")
         k_hat = select_k(rebuilt, args.kappa)

@@ -1,9 +1,9 @@
-"""Gaussian mixture densities over coefficient vectors and allocation rules.
+"""Gaussian mixture densities over coefficient vectors, nearest means, Bayes allocation.
 
 Holds the full-covariance mixture parameters and their one Gaussian
 density kernel, the simplified spherical log-likelihood used to score mean
-models, and the Bayes and nearest-mean allocation rules. All labels
-returned by allocation functions are 1-based (clusters 1..k).
+models, the nearest-mean search, and the Bayes allocation rule, whose
+labels are 1-based (clusters 1..k).
 """
 
 from __future__ import annotations
@@ -92,14 +92,9 @@ class MeanModel:
         """log of (1/k) (2 pi scale)^(-d/2), shared by every component's log-score."""
         return -math.log(self.k) - 0.5 * self.d * math.log(2.0 * math.pi * self.scale)
 
-    def finalized(self) -> tuple["MeanModel", np.ndarray]:
-        """Copy with rows sorted lexicographically, plus the row permutation.
-
-        `perm[c_new] = c_old`; callers remap labels via the inverse.
-        """
-        order = np.lexsort(self.means.T[::-1])
-        sorted_means = self.means[order]
-        return MeanModel(sorted_means, self.scale), order
+    def finalized(self) -> "MeanModel":
+        """Copy with rows sorted lexicographically."""
+        return MeanModel(self.means[np.lexsort(self.means.T[::-1])], self.scale)
 
 
 def component_log_densities(B: np.ndarray, params: GmmParams) -> np.ndarray:
@@ -329,9 +324,3 @@ def bayes_allocate(b, params: GmmParams):
         labels[lo:lo + _CHUNK] = np.argmax(scores, axis=1) + 1
     return int(labels[0]) if single else labels
 
-
-def kmeans_allocate(b, model: MeanModel):
-    """Nearest-mean cluster index (1-based); ties toward the lowest index."""
-    arr = np.asarray(b, dtype=float)
-    labels = nearest_search(np.atleast_2d(arr), model.means)[0] + 1
-    return int(labels[0]) if arr.ndim == 1 else labels

@@ -577,9 +577,11 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig, jobs: int = 1) -> TwoStageR
         k_hat = select_k(trace, slope.kappa)
 
     fit = fits[k_hat]
-    labels = allocate_all(coefs, fit)
+    # at the chosen candidate's own trim level: alpha 0 if it fell back
+    trim = next(t for k, t, _ in tasks if k == k_hat)
+    labels, trimmed = allocate_all(coefs, fit, trim)
     cluster_volume = ClusterVolume(dims=vol.dims, labels=labels,
-                                   trimmed=fit.trimmed, k=fit.k)
+                                   trimmed=trimmed, k=fit.k)
     coef_means = fit.model.means
     if stats is not None:
         coef_means = stats.denormalize_rows(coef_means)

@@ -176,9 +176,9 @@ def estimate_slope_ddse(trace: SelectionTrace) -> SlopeEstimate:
 
 def select_k(trace: SelectionTrace, kappa: float) -> int:
     """k minimizing loss(k) + 2 * kappa * pen(k) over the trace's stored
-    penalty column; ties toward smaller k."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    penalty column; ties toward smaller k. kappa must be finite and positive."""
+    if not (kappa > 0 and np.isfinite(kappa)):
+        raise ValueError(f"kappa must be a positive finite number, got {kappa}")
     if not trace.records:
         raise ValueError("empty trace")
     criterion = trace.loss() + 2.0 * kappa * trace.pens()

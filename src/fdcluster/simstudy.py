@@ -171,12 +171,13 @@ def fit_gmm_em(B, k: int, seed: int = 0, max_iter: int = 200,
         ridge = 1e-6 * mean_diag
 
     init = trimmed_kmeans(U, k, TrimSpec(0.0), restarts=1, max_iter=20, seed=seed)
+    init_labels = allocate_all(U, init, TrimSpec(0.0))[0]
     means = init.model.means.copy()
     weights = np.empty(k)
     covs = np.empty((k, d, d))
     eye = np.eye(d)
     for c in range(k):
-        members = U[init.labels == c + 1]
+        members = U[init_labels == c + 1]
         weights[c] = max(members.shape[0], 1) / n
         if members.shape[0] >= 2:
             covs[c] = np.cov(members, rowvar=False, bias=True) + ridge * eye
@@ -289,7 +290,7 @@ def _score_replicate(shared, task):
         else:
             fit = trimmed_kmeans(coefs, cfg.k_true, TrimSpec(alpha),
                                  restarts=restarts, seed=seed_int(mseq))
-            labels = allocate_all(coefs, fit)
+            labels = allocate_all(coefs, fit, TrimSpec(alpha))[0]
         seconds.append(time.perf_counter() - t0)
         aris.append(adjusted_rand_index(labels, data.labels))
     return aris, seconds

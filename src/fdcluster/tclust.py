@@ -21,8 +21,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .basis import coef_values
-from .mixtures import (_CHUNK, MeanModel, chosen_sq_distances, kmeans_allocate,
-                       nearest_search)
+from .mixtures import _CHUNK, MeanModel, chosen_sq_distances, nearest_search
 
 
 @dataclass(frozen=True)
@@ -43,16 +42,12 @@ class TrimSpec:
 
 @dataclass
 class ClusterFit:
-    """Final fitted model with per-point labels and trim flags.
+    """The winning restart: its finalized model, objective, steps and index.
 
-    `labels[i]` is the nearest-mean cluster (1-based) of every point,
-    including the points that were trimmed while fitting; `trimmed[i]`
-    records whether point i was excluded from the final objective.
+    Per-point labels and trim flags come from `allocate_all`.
     """
 
     model: MeanModel
-    labels: np.ndarray
-    trimmed: np.ndarray
     objective: float
     iterations: int
     restart_index: int
@@ -131,9 +126,8 @@ def _classify(U: np.ndarray, model: MeanModel, h: int, u_sq: np.ndarray | None =
     """Nearest-mean labels of every point, trim flags, and the trimmed objective.
 
     One exact search, scoring and retain over all n rows: `trimmed_kmeans`
-    needs it for a restart stopped at `max_iter` or left with an empty
-    cluster, and for the labels and trim flags of a winner scored from its
-    last step.
+    scores a restart stopped at `max_iter` or left with an empty cluster
+    with it, and `allocate_all` allocates a finalized model.
     """
     n = U.shape[0]
     labels = nearest_search(U, model.means, u_sq)[0]
@@ -279,7 +273,7 @@ def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,
     concentration step until the retained set and all assignments repeat,
     or `max_iter` is reached. The restart with the largest final objective
     wins (the first in restart order among equals); its means are returned
-    in lexicographic order with labels remapped to match.
+    in lexicographic order.
 
     Up to floor(_CHUNK / n) restarts step together as one batch (one at a
     time once n > _CHUNK); a restart leaves the batch when it stops and the
@@ -289,9 +283,8 @@ def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,
     its last step: that step recentered the same kept rows and clusters as
     the step before, so it returned, bit for bit, the means it scored, and
     its certified retain is already the exact one; the objective is the
-    ascending sum of its kept rows' exact scores. Any other restart gets a
-    full `_classify`, and so does a winner scored the first way, once, for
-    its labels and trim flags.
+    ascending sum of its kept rows' exact scores. Any other restart is
+    scored by a full `_classify`.
 
     `init_means` replaces the random initialization (restarts is then
     forced to 1), which is how reference runs reproduce a specific start.
@@ -360,28 +353,28 @@ def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,
             fit = MeanModel(model.means[j], scale)
             if j in last:
                 rows, lab = last.pop(j)
-                labels = trimmed = None
                 d2 = chosen_sq_distances(U, fit.means, lab, rows)
                 objective = float(np.sum(_scores(fit, d2))) / n
             else:
-                labels, trimmed, objective = _classify(U, fit, h, u_sq)
+                objective = _classify(U, fit, h, u_sq)[2]
             r = int(order[j])
-            if best is None or objective > best[0] or (objective == best[0] and r < best[5]):
-                best = (objective, fit, labels, trimmed, int(iterations[j]), r)
+            if best is None or objective > best[0] or (objective == best[0] and r < best[3]):
+                best = (objective, fit, int(iterations[j]), r)
         order, means, iterations = order[stay], model.means[stay], iterations[stay]
 
-    objective, model, labels, trimmed, iterations, r = best
-    if labels is None:
-        labels, trimmed, _ = _classify(U, model, h, u_sq)
-    final_model, perm = model.finalized()
-    relabel = np.empty(k, dtype=np.int64)
-    relabel[perm] = np.arange(k)
-    labels = relabel[labels - 1] + 1
-    return ClusterFit(model=final_model, labels=labels, trimmed=trimmed,
-                      objective=objective, iterations=iterations,
-                      restart_index=r)
+    objective, model, iterations, r = best
+    return ClusterFit(model=model.finalized(), objective=objective,
+                      iterations=iterations, restart_index=r)
 
 
-def allocate_all(U, fit: ClusterFit) -> np.ndarray:
-    """Nearest-mean labels for every point, trimmed ones included."""
-    return kmeans_allocate(coef_values(U), fit.model)
+def allocate_all(U, fit: ClusterFit, trim: TrimSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-mean labels (1-based) of every point, trimmed ones included,
+    and the trim flags of `fit`'s model at level `trim`.
+
+    One `_classify` of the finalized model, the only place labels and trim
+    flags are computed: a point equally near two means goes to the first in
+    their sorted order.
+    """
+    U = coef_values(U)
+    labels, trimmed, _ = _classify(U, fit.model, trim.retained_count(U.shape[0]))
+    return labels, trimmed

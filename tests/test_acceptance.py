@@ -23,7 +23,7 @@ from fdcluster.selection import (SelectionTrace, SlopeEstimationError,
                                  estimate_slope_ddse, penalty_spherical,
                                  select_k)
 from fdcluster.simstudy import SimConfig, adjusted_rand_index, simulate_study
-from fdcluster.tclust import TrimSpec, trimmed_kmeans
+from fdcluster.tclust import TrimSpec, allocate_all, trimmed_kmeans
 
 
 def report(num, text):
@@ -104,7 +104,8 @@ def test_c04_alpha0_matches_reference_lloyd():
         order = np.lexsort(ref_means.T[::-1])
         relabel = np.empty(k, dtype=int)
         relabel[order] = np.arange(k)
-        np.testing.assert_array_equal(fit.labels, relabel[ref_labels - 1] + 1,
+        labels = allocate_all(U, fit, TrimSpec(0.0))[0]
+        np.testing.assert_array_equal(labels, relabel[ref_labels - 1] + 1,
                                       err_msg=f"trial {trial}")
     report(4, "alpha=0 labels identical to reference Lloyd on 20 fixtures")
 

@@ -208,6 +208,58 @@ def test_select_with_ddse_and_explicit_kappa(tmp_path):
     assert rc == 2
 
 
+def _five_row_trace(tmp_path):
+    """A trace on which --kappa 0.01 --n 100 gives the criterion
+    2.4, 2.1, 2.0, 2.1, 2.25 for k = 2..6, so k = 4."""
+    trace = SelectionTrace(n_points=100)
+    for k, loss in zip(range(2, 7), (2.0, 1.5, 1.2, 1.1, 1.05)):
+        trace.add(k, -loss * 100, penalty_spherical(k, 10), 0.0)
+    path = tmp_path / "trace.csv"
+    trace.write_csv(path)
+    return path
+
+
+def test_select_with_explicit_kappa_prints_the_penalized_minimum(tmp_path, capsys):
+    rc = main(["select", "--trace", str(_five_row_trace(tmp_path)), "--penalty",
+               "spherical", "--d", "10", "--kappa", "0.01", "--n", "100"])
+    assert rc == 0
+    assert capsys.readouterr().out == "4\n"
+
+
+@pytest.mark.parametrize("kappa, n, message", [
+    ("nan", "100", "kappa must be a positive finite number"),
+    ("inf", "100", "kappa must be a positive finite number"),
+    ("0.01", "-100", "--n must be at least 1"),
+    ("0.01", "0", "--n must be at least 1"),
+], ids=["kappa-nan", "kappa-inf", "n-negative", "n-zero"])
+def test_select_refuses_a_kappa_or_n_it_cannot_use(tmp_path, capsys, kappa, n, message):
+    # each used to print a k (2, 2, 2 and 6) with exit code 0
+    rc = main(["select", "--trace", str(_five_row_trace(tmp_path)), "--penalty",
+               "spherical", "--d", "10", "--kappa", kappa, "--n", n])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--study", "s1", "--grid", "100"],
+     "grid entry '100' is not of the form MxN"),
+    (["simulate", "--study", "s1", "--grid", "100x500,x500"],
+     "grid entry 'x500' is not of the form MxN"),
+    (["fit", "--input", "missing.civt", "--format", "civt", "--k-set", "2.."],
+     "k set entry '2..' is not an integer k or a range lo..hi"),
+    (["fit", "--input", "missing.civt", "--format", "civt", "--k-set", "2,three"],
+     "k set entry 'three' is not an integer k or a range lo..hi"),
+], ids=["grid-no-x", "grid-no-m", "k-set-open-range", "k-set-word"])
+def test_malformed_grid_or_k_set_names_the_entry_and_the_form(tmp_path, capsys, argv,
+                                                              message):
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_select_prints_chosen_k(tmp_path, capsys):
     trace = SelectionTrace(n_points=50)
     for k in range(2, 9):

@@ -15,7 +15,7 @@ import fdcluster
 import fdcluster.mixtures as mixtures
 from fdcluster.mixtures import (GmmParams, MeanModel, bayes_allocate,
                                 component_log_densities, gaussian_log_density,
-                                kmeans_allocate, mixture_log_density, row_logsumexp,
+                                mixture_log_density, nearest_search, row_logsumexp,
                                 spherical_log_likelihood)
 from fdcluster.simstudy import fit_gmm_em
 
@@ -211,7 +211,7 @@ class TestAllocation:
             params = GmmParams(np.full(4, 0.25), means,
                                np.broadcast_to(lam * np.eye(3), (4, 3, 3)).copy())
             np.testing.assert_array_equal(bayes_allocate(B, params),
-                                          kmeans_allocate(B, model))
+                                          nearest_search(B, model.means)[0] + 1)
 
     def test_point_at_mean_goes_to_that_cluster(self):
         means = np.array([[0.0, 0.0], [4.0, 4.0], [-3.0, 5.0]])
@@ -238,21 +238,21 @@ class TestAllocation:
     def test_kmeans_at_mean(self):
         means = np.array([[0.0], [5.0], [9.0]])
         model = MeanModel(means)
-        assert kmeans_allocate(np.array([5.0]), model) == 2
+        assert nearest_search(np.array([[5.0]]), model.means)[0][0] == 1
 
     def test_kmeans_tie_breaks_low(self):
         model = MeanModel(np.array([[0.0], [2.0]]))
-        assert kmeans_allocate(np.array([1.0]), model) == 1
+        assert nearest_search(np.array([[1.0]]), model.means)[0][0] == 0
 
     def test_kmeans_matches_exhaustive_argmin(self):
         rng = np.random.default_rng(8)
         means = rng.normal(size=(5, 3))
         model = MeanModel(means)
         B = rng.normal(size=(100, 3))
-        got = kmeans_allocate(B, model)
+        got = nearest_search(B, model.means)[0]
         for i in range(100):
             dists = [np.sum((B[i] - mu) ** 2) for mu in means]
-            assert got[i] == int(np.argmin(dists)) + 1
+            assert got[i] == int(np.argmin(dists))
 
 
 class TestFitGmmEm:
@@ -293,10 +293,10 @@ class TestFitGmmEm:
 class TestMeanModel:
     def test_finalized_sorts_lexicographically(self):
         means = np.array([[1.0, 0.0], [0.0, 5.0], [0.0, -1.0]])
-        model, order = MeanModel(means).finalized()
+        model = MeanModel(means, scale=2.0).finalized()
         np.testing.assert_array_equal(model.means,
                                       [[0.0, -1.0], [0.0, 5.0], [1.0, 0.0]])
-        np.testing.assert_array_equal(order, [2, 1, 0])
+        assert model.scale == 2.0
 
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -195,6 +195,23 @@ def test_stage1_streams_a_mapped_volume_in_bounded_memory(tmp_path):
     assert peak < n * m * 8 / 4
 
 
+def test_peak_memory_does_not_grow_with_the_candidate_set():
+    # a candidate's fit keeps its means, not per-voxel labels or trim flags:
+    # only the chosen model is allocated, once, after selection
+    vol, _ = blocked_volume(nx=40, ny=25, nz=21, m=16)
+    peaks = []
+    for k_set in (range(2, 6), range(2, 14)):
+        cfg = RunConfig(d=6, k_set=tuple(k_set), restarts=1, max_iter=2, seed=0)
+        tracemalloc.start()
+        try:
+            result = run_two_stage(vol, cfg, jobs=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert sorted(result.fits) == list(k_set)
+    assert peaks[1] <= 1.01 * peaks[0]
+
+
 class _AdviceLog:
     """Stands in for a memmap's mmap: records the ranges it is told to drop."""
 

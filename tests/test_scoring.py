@@ -9,8 +9,8 @@ from hypothesis.extra import numpy as hnp
 
 import fdcluster.mixtures as mixtures
 from fdcluster.mixtures import (MeanModel, _sq_distances, chosen_sq_distances,
-                                kmeans_allocate, nearest_search)
-from fdcluster.tclust import TrimSpec, _retain, tclust_step
+                                nearest_search)
+from fdcluster.tclust import ClusterFit, TrimSpec, _retain, allocate_all, tclust_step
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -64,7 +64,12 @@ def test_nearest_mean_matches_exact_argmin(case):
     ref_labels, ref_dist = _reference(U, M)
     np.testing.assert_array_equal(labels, ref_labels)
     np.testing.assert_array_equal(dist, ref_dist)
-    np.testing.assert_array_equal(kmeans_allocate(U, MeanModel(M)), ref_labels + 1)
+    # allocate_all on the finalized model: the sorted means' own argmin
+    fit = ClusterFit(MeanModel(M).finalized(), objective=0.0, iterations=0,
+                     restart_index=0)
+    labels, trimmed = allocate_all(U, fit, TrimSpec(0.0))
+    np.testing.assert_array_equal(labels, _reference(U, fit.model.means)[0] + 1)
+    assert not trimmed.any()
 
 
 @SETTINGS

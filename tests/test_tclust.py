@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import brute_objective, exhaustive_optimum, reference_lloyd
 
 import fdcluster.tclust as tclust
-from fdcluster.mixtures import MeanModel, kmeans_allocate
+from fdcluster.mixtures import MeanModel, chosen_sq_distances, nearest_search
 from fdcluster.tclust import (TrimSpec, allocate_all, tclust_objective, tclust_step,
                               trimmed_kmeans)
 
@@ -162,7 +162,8 @@ class TestTrimmedKmeans:
             order = np.lexsort(ref_means.T[::-1])
             relabel = np.empty(3, dtype=int)
             relabel[order] = np.arange(3)
-            np.testing.assert_array_equal(fit.labels, relabel[ref_labels - 1] + 1)
+            labels = allocate_all(U, fit, TrimSpec(0.0))[0]
+            np.testing.assert_array_equal(labels, relabel[ref_labels - 1] + 1)
 
     def test_trim_count_exact(self):
         rng = np.random.default_rng(9)
@@ -170,14 +171,15 @@ class TestTrimmedKmeans:
         for alpha in (0.0, 0.1, 0.25, 0.5, 0.9):
             fit = trimmed_kmeans(U, 2, TrimSpec(alpha), restarts=2, seed=3)
             h = TrimSpec(alpha).retained_count(101)
-            assert int(fit.trimmed.sum()) == 101 - h
+            assert int(allocate_all(U, fit, TrimSpec(alpha))[1].sum()) == 101 - h
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(10)
         U = rng.normal(size=(200, 3))
         a = trimmed_kmeans(U, 4, TrimSpec(0.2), restarts=6, seed=77)
         b = trimmed_kmeans(U, 4, TrimSpec(0.2), restarts=6, seed=77)
-        np.testing.assert_array_equal(a.labels, b.labels)
+        np.testing.assert_array_equal(allocate_all(U, a, TrimSpec(0.2))[0],
+                                      allocate_all(U, b, TrimSpec(0.2))[0])
         np.testing.assert_array_equal(a.model.means, b.model.means)
         assert a.objective == b.objective
         assert a.restart_index == b.restart_index
@@ -208,8 +210,10 @@ class TestTrimmedKmeans:
         rng = np.random.default_rng(13)
         U = rng.normal(size=(80, 2))
         fit = trimmed_kmeans(U, 3, TrimSpec(0.3), restarts=4, seed=5)
-        nearest = kmeans_allocate(U, fit.model)
-        np.testing.assert_array_equal(fit.labels[~fit.trimmed], nearest[~fit.trimmed])
+        labels, trimmed = allocate_all(U, fit, TrimSpec(0.3))
+        d2 = ((U[:, None, :] - fit.model.means[None]) ** 2).sum(axis=2)
+        nearest = np.argmin(d2, axis=1) + 1
+        np.testing.assert_array_equal(labels[~trimmed], nearest[~trimmed])
 
     def test_peak_memory_is_a_fraction_of_the_data(self):
         # the recenter sums each cluster's rows in place (no gather of its
@@ -230,9 +234,11 @@ class TestTrimmedKmeans:
         U = rng.normal(size=(600, 7))
         U[:300] += 2.0
         c = trimmed_kmeans(U, 3, TrimSpec(0.1), restarts=3, seed=4)
-        f = trimmed_kmeans(np.asfortranarray(U), 3, TrimSpec(0.1), restarts=3, seed=4)
-        np.testing.assert_array_equal(f.labels, c.labels)
-        np.testing.assert_array_equal(f.trimmed, c.trimmed)
+        F = np.asfortranarray(U)
+        f = trimmed_kmeans(F, 3, TrimSpec(0.1), restarts=3, seed=4)
+        for got, want in zip(allocate_all(F, f, TrimSpec(0.1)),
+                             allocate_all(U, c, TrimSpec(0.1))):
+            np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(f.model.means, c.model.means)
         assert f.objective == c.objective
 
@@ -270,27 +276,36 @@ class TestTrimmedKmeans:
 # --- allocate_all ------------------------------------------------------------
 
 class TestAllocateAll:
-    def test_alpha0_identical_to_fit_labels(self):
+    def test_alpha0_trims_nothing_and_matches_the_final_step(self):
+        # a converged untrimmed fit: its final means are the centroids of
+        # the allocation, which one more step reproduces
         rng = np.random.default_rng(14)
         U = rng.normal(size=(90, 2))
         fit = trimmed_kmeans(U, 3, TrimSpec(0.0), restarts=4, seed=2)
-        np.testing.assert_array_equal(allocate_all(U, fit), fit.labels)
+        labels, trimmed = allocate_all(U, fit, TrimSpec(0.0))
+        assert not trimmed.any()
+        step, kept, step_labels = tclust_step(U, fit.model, 90)
+        np.testing.assert_array_equal(kept, np.arange(90))
+        np.testing.assert_array_equal(labels, step_labels)
+        np.testing.assert_allclose(step.means, fit.model.means, atol=1e-12)
+        assert fit.objective == tclust_objective(U, fit.model, TrimSpec(0.0))
 
     def test_trimmed_points_get_nearest_mean(self):
         rng = np.random.default_rng(15)
         U = np.vstack([rng.normal(0, 1, (40, 2)), [[50.0, 50.0]]])
         fit = trimmed_kmeans(U, 2, TrimSpec(0.1), restarts=4, seed=4)
-        labels = allocate_all(U, fit)
-        assert labels[-1] == kmeans_allocate(U[-1], fit.model)
+        labels, trimmed = allocate_all(U, fit, TrimSpec(0.1))
+        assert trimmed[-1]
+        assert labels[-1] == nearest_search(U[-1:], fit.model.means)[0][0] + 1
 
     def test_heavy_trimming_still_labels_everything(self):
         rng = np.random.default_rng(16)
         U = rng.normal(size=(100, 2))
         fit = trimmed_kmeans(U, 2, TrimSpec(0.9), restarts=4, seed=6)
-        labels = allocate_all(U, fit)
+        labels, trimmed = allocate_all(U, fit, TrimSpec(0.9))
         assert labels.shape == (100,)
         assert set(np.unique(labels)) <= {1, 2}
-        assert int(fit.trimmed.sum()) == 90
+        assert int(trimmed.sum()) == 90
 
 
 # --- restart batches ---------------------------------------------------------
@@ -300,7 +315,21 @@ def fit_cases(draw):
     """Small fits with many exact ties: rows on a 0.1 grid or small integers,
     some duplicated, so starting means can coincide (an empty cluster and a
     reseed) and restarts can end on the same objective; few steps allowed,
-    so some restarts stop at max_iter and others converge earlier."""
+    so some restarts stop at max_iter and others converge earlier.
+
+    One case in three repeats a few distinct rows and fits up to 6 clusters
+    from one or two starts: seeded starts then share rows, and a restart
+    often stops on a repeat with a cluster empty and reseeded."""
+    trim = TrimSpec(draw(st.sampled_from([0.0, 0.1, 0.25, 0.5])))
+    if draw(st.integers(0, 2)) == 0:
+        shape = (draw(st.integers(3, 7)), draw(st.integers(1, 2)))
+        distinct = draw(hnp.arrays(np.float64, shape,
+                                   elements=st.integers(-10, 10).map(float)))
+        U = distinct[draw(st.lists(st.integers(0, distinct.shape[0] - 1),
+                                   min_size=2 * distinct.shape[0], max_size=30))]
+        k = draw(st.integers(1, min(6, trim.retained_count(U.shape[0]))))
+        return (U, k, trim, draw(st.integers(1, 2)), draw(st.integers(2, 5)),
+                draw(st.integers(0, 2 ** 16)))
     n = draw(st.integers(2, 30))
     d = draw(st.integers(1, 3))
     if draw(st.booleans()):
@@ -310,7 +339,6 @@ def fit_cases(draw):
     U = draw(hnp.arrays(np.float64, (n, d), elements=values))
     copies = draw(st.lists(st.integers(0, n - 1), max_size=n))
     U = np.vstack([U, U[copies]]) if copies else U
-    trim = TrimSpec(draw(st.sampled_from([0.0, 0.1, 0.25, 0.5])))
     k = draw(st.integers(1, min(4, trim.retained_count(U.shape[0]))))
     return (U, k, trim, draw(st.integers(1, 7)), draw(st.integers(1, 5)),
             draw(st.integers(0, 2 ** 16)))
@@ -327,7 +355,8 @@ def _fit_under_cap(case, cap):
 
 def _reference_fit(U, k, trim, restarts, max_iter, seed, init_means=None):
     """The multi-start driver one restart at a time, every restart scored by
-    a full `_classify` of its final means."""
+    a full `_classify` of its final means; the winner's labels (remapped to
+    the sorted means) and trim flags are those of that classification."""
     n = U.shape[0]
     h = trim.retained_count(n)
     best = None
@@ -348,17 +377,23 @@ def _reference_fit(U, k, trim, restarts, max_iter, seed, init_means=None):
         if best is None or objective > best[0]:
             best = (objective, model, labels, trimmed, iterations, r)
     objective, model, labels, trimmed, iterations, r = best
-    final, perm = model.finalized()
     relabel = np.empty(k, dtype=np.int64)
-    relabel[perm] = np.arange(k)
-    return final, relabel[labels - 1] + 1, trimmed, objective, iterations, r
+    relabel[np.lexsort(model.means.T[::-1])] = np.arange(k)
+    return (model.finalized(), relabel[labels - 1] + 1, trimmed, objective,
+            iterations, r)
 
 
-def _assert_fit_is(fit, reference):
-    model, labels, trimmed, objective, iterations, r = reference
-    np.testing.assert_array_equal(fit.labels, labels)
-    assert fit.labels.dtype == labels.dtype
-    np.testing.assert_array_equal(fit.trimmed, trimmed)
+def _assert_fit_is(fit, reference, U, trim):
+    """`fit` is the reference's, and `allocate_all` gives it the reference's
+    trim flags and, off exact ties, its labels."""
+    model, ref_labels, ref_trimmed, objective, iterations, r = reference
+    labels, trimmed = allocate_all(U, fit, trim)
+    np.testing.assert_array_equal(trimmed, ref_trimmed)
+    assert labels.dtype == ref_labels.dtype
+    moved = labels != ref_labels
+    np.testing.assert_array_equal(
+        chosen_sq_distances(U, model.means, labels[moved] - 1, np.flatnonzero(moved)),
+        chosen_sq_distances(U, model.means, ref_labels[moved] - 1, np.flatnonzero(moved)))
     np.testing.assert_array_equal(fit.model.means, model.means)
     assert fit.model.scale == model.scale
     assert fit.objective == objective
@@ -372,12 +407,17 @@ def _assert_fit_is(fit, reference):
 @example((np.vstack([np.zeros((5, 2)), [[5.0, 5.0]]]), 2, TrimSpec(0.0), 6, 3, 1))
 # one cluster, no trimming: every restart ends on the same objective
 @example((np.arange(12.0).reshape(6, 2), 1, TrimSpec(0.0), 5, 4, 2))
+# step 3 repeats step 2 with a cluster empty, and its reseed moves a row that
+# only a full classification of the returned means scores there
+@example((np.array([[-1.0], [-1.0], [-5.0], [-5.0], [-9.0], [-5.0], [-2.0], [-5.0]]),
+          3, TrimSpec(0.1), 1, 4, 682))
 def test_fit_does_not_depend_on_the_batch_cap(case):
     # and equals the one-restart reference, so a restart scored from its
     # last step gets the objective a full classification gives it
     reference = _reference_fit(*case)
+    U, _, trim = case[:3]
     for cap in (1, 2, None):
-        _assert_fit_is(_fit_under_cap(case, cap), reference)
+        _assert_fit_is(_fit_under_cap(case, cap), reference, U, trim)
 
 
 def test_a_restart_that_repeats_with_an_empty_cluster_is_classified():
@@ -391,7 +431,8 @@ def test_a_restart_that_repeats_with_an_empty_cluster_is_classified():
     fit = trimmed_kmeans(U, 3, TrimSpec(0.0), init_means=init)
     assert fit.iterations == 2
     np.testing.assert_array_equal(fit.model.means, [[0.0], [8.0], [10.0]])
-    _assert_fit_is(fit, _reference_fit(U, 3, TrimSpec(0.0), 1, 20, 0, init))
+    _assert_fit_is(fit, _reference_fit(U, 3, TrimSpec(0.0), 1, 20, 0, init),
+                   U, TrimSpec(0.0))
 
 
 def test_objective_tie_goes_to_the_first_restart_across_batches():
