@@ -175,17 +175,16 @@ def _sq_distances(U: np.ndarray, means: np.ndarray) -> np.ndarray:
 
 
 def nearest_search(U: np.ndarray, means: np.ndarray, u_sq: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nearest mean of every row (0-based), an estimate of the squared
-    distance to it, and a bound on the estimate's error.
+    distance to it, and a bound on the estimate's error, for each of R models.
 
-    `means` is one model's (k, d) means, or the (R, k, d) means of R models
-    searched together; the outputs then carry a leading axis of length R
-    (labels and estimates (R, n), one bound per model). `u_sq` holds the
-    rows' squared norms when the caller has them.
+    `means` holds the (R, k, d) means of R models searched together; the
+    labels and estimates are (R, n), with one bound per model. `u_sq` holds
+    the rows' squared norms when the caller has them.
 
-    The labels are bit-identical to ``np.argmin(_sq_distances(U, means),
-    axis=1)`` for each model: ties go to the lowest index. The estimate is
+    The labels are bit-identical to ``np.argmin(_sq_distances(U, means[r]),
+    axis=1)`` for each model r: ties go to the lowest index. The estimate is
     est = ||u||^2 + h_b, where h_b = ||mu_b||^2 - 2 u.mu_b is the chosen
     mean's score from one matrix product; rows rescored exactly carry their
     exact distance instead. Every row has |est - D| <= bound, where D is the
@@ -220,11 +219,9 @@ def nearest_search(U: np.ndarray, means: np.ndarray, u_sq: np.ndarray | None = N
     8g (max_i ||u_i||^2 + max_c ||mu_c||^2), covers every row and the
     rounding of the computed maxima.
     """
-    single = means.ndim == 2
-    M = means[None] if single else means
-    R, k, d = M.shape
+    R, k, d = means.shape
     n = U.shape[0]
-    stacked = M.transpose(1, 0, 2).reshape(k * R, d)
+    stacked = means.transpose(1, 0, 2).reshape(k * R, d)
     mu_sq = np.einsum("ij,ij->i", stacked, stacked)
     mu_max = mu_sq.reshape(k, R).max(axis=0)
     neg2_means = -2.0 * stacked
@@ -258,15 +255,12 @@ def nearest_search(U: np.ndarray, means: np.ndarray, u_sq: np.ndarray | None = N
             owner, row = np.divmod(near, b)
             for r in np.unique(owner):
                 mine = near[owner == r]
-                exact = _sq_distances(block[row[owner == r]], M[r])
+                exact = _sq_distances(block[row[owner == r]], means[r])
                 lab[mine] = np.argmin(exact, axis=1)
                 best[mine] = exact[np.arange(mine.size), lab[mine]]
         labels[:, lo:lo + b] = lab.reshape(R, b)
         est[:, lo:lo + b] = best.reshape(R, b)
-    bound = 8.0 * g * (u_max + mu_max)
-    if single:
-        return labels[0], est[0], float(bound[0])
-    return labels, est, bound
+    return labels, est, 8.0 * g * (u_max + mu_max)
 
 
 def chosen_sq_distances(U: np.ndarray, means: np.ndarray, labels: np.ndarray,
@@ -309,18 +303,14 @@ def spherical_log_likelihood(B, model: MeanModel) -> float:
     return math.fsum(rows)
 
 
-def bayes_allocate(b, params: GmmParams):
-    """Cluster of maximal posterior weight pi_c N(b; mu_c, V_c), 1-based.
-
-    Ties break toward the lowest cluster index. Accepts a single d-vector
-    (returns int) or an (n, d) matrix (returns an int array).
+def bayes_allocate(B, params: GmmParams) -> np.ndarray:
+    """Cluster of maximal posterior weight pi_c N(b; mu_c, V_c) of each row
+    of an (n, d) matrix, 1-based; ties break toward the lowest cluster index.
     """
-    arr = np.asarray(b, dtype=float)
-    single = arr.ndim == 1
-    B = np.atleast_2d(arr)
+    B = np.asarray(B, dtype=float)
     labels = np.empty(B.shape[0], dtype=np.int64)
     for lo in range(0, B.shape[0], _CHUNK):
         scores = component_log_densities(B[lo:lo + _CHUNK], params)
         labels[lo:lo + _CHUNK] = np.argmax(scores, axis=1) + 1
-    return int(labels[0]) if single else labels
+    return labels
 

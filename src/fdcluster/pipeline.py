@@ -154,8 +154,7 @@ class RunConfig:
             raise ValueError("k_set must be a nonempty set of positive counts")
         if len(set(self.k_set)) != len(self.k_set):
             raise ValueError("k_set contains duplicates")
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError("alpha must lie in [0, 1)")
+        TrimSpec(self.alpha)        # refuses an alpha outside [0, 1)
         if self.d < 4 or self.restarts < 1 or self.max_iter < 1:
             raise ValueError("d, restarts, max_iter must be positive (d >= 4)")
         if not isinstance(self.penalty, str) or self.penalty not in PENALTIES:
@@ -323,8 +322,8 @@ def load_volume(path, format: str) -> VolumeSeries:
 # ---------------------------------------------------------------------------
 # exporters
 
-def export_cluster_map(cv: ClusterVolume, csv_path, civl_path=None) -> None:
-    """Write labels as CSV (x-fastest order) and optionally as CIVL binary."""
+def export_cluster_map(cv: ClusterVolume, csv_path, civl_path) -> None:
+    """Write labels as CSV (x-fastest order) and as CIVL binary."""
     cv.validate()
     nx, ny, nz = cv.dims
     with open(csv_path, "w", newline="") as fh:
@@ -334,8 +333,7 @@ def export_cluster_map(cv: ClusterVolume, csv_path, civl_path=None) -> None:
         writer.writerows(zip(x.tolist(), y.tolist(), z.tolist(),
                              cv.labels.astype(np.int64).tolist(),
                              cv.trimmed.astype(np.int64).tolist()))
-    if civl_path is not None:
-        save_labels_civl(cv, civl_path)
+    save_labels_civl(cv, civl_path)
 
 
 def save_labels_civl(cv: ClusterVolume, path) -> None:

@@ -9,6 +9,7 @@ the selection rule: pick the k minimizing loss(k) + 2 * kappa * pen(k).
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,12 @@ class SelectionTrace:
     records: list = field(default_factory=list)   # (k, loglik, pen, seconds)
     n_points: int | None = None
 
+    def __post_init__(self):
+        n = self.n_points
+        if n is not None and (isinstance(n, bool) or not isinstance(n, numbers.Integral)
+                              or n < 1):
+            raise ValueError(f"n_points must be None or an integer >= 1, got {n!r}")
+
     def add(self, k: int, loglik: float, pen: float, seconds: float = 0.0):
         if self.records and k <= self.records[-1][0]:
             raise ValueError("k values must be strictly increasing")
@@ -49,7 +56,7 @@ class SelectionTrace:
 
     def loss(self) -> np.ndarray:
         """Per-point loss -loglik / n for every record."""
-        n = self.n_points if self.n_points else 1
+        n = 1 if self.n_points is None else self.n_points
         return np.array([-r[1] / n for r in self.records])
 
     def pens(self) -> np.ndarray:

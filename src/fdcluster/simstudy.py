@@ -28,6 +28,9 @@ DEFAULT_METHODS = ("gmm", "kmeans", "trimmed:0.25", "trimmed:0.5")
 # EM fits per replicate of the "gmm" method; the best log-likelihood wins.
 EM_RESTARTS = 5
 
+# The most EM iterations one fit runs.
+EM_MAX_ITER = 200
+
 
 def _comb2(x: int) -> int:
     return x * (x - 1) // 2
@@ -146,18 +149,17 @@ def _em_loglik(B: np.ndarray, params: GmmParams) -> tuple[float, np.ndarray]:
     return float(np.sum(row_lse)), scores - row_lse[:, None]
 
 
-def fit_gmm_em(B, k: int, seed: int = 0, max_iter: int = 200,
-               ridge: float | None = None, full_output: bool = False):
+def fit_gmm_em(B, k: int, seed: int = 0) -> tuple[GmmParams, np.ndarray]:
     """Fit a full-covariance k-component mixture by EM.
 
     Initialization comes from one untrimmed k-means run on the data. Each
-    M-step adds ridge * I to every covariance (default ridge: 1e-6 times
-    the mean diagonal of the pooled covariance), which keeps the updates
-    positive definite. Iterations stop at `max_iter` or when the
+    M-step adds ridge * I to every covariance, with ridge 1e-6 times the
+    mean diagonal of the pooled covariance, which keeps the updates
+    positive definite. Iterations stop after `EM_MAX_ITER` or when the
     log-likelihood gain falls below 1e-6 * n. The log-likelihood sequence
     is checked to be nondecreasing (1e-8 relative slack).
 
-    Returns GmmParams, or (GmmParams, loglik_history) when `full_output`.
+    Returns the GmmParams and the log-likelihood of every iteration.
     """
     U = coef_values(B)
     n, d = U.shape
@@ -167,8 +169,7 @@ def fit_gmm_em(B, k: int, seed: int = 0, max_iter: int = 200,
     mean_diag = float(np.mean(np.diag(pooled)))
     if mean_diag <= 0:
         raise ValueError("degenerate data: zero pooled variance")
-    if ridge is None:
-        ridge = 1e-6 * mean_diag
+    ridge = 1e-6 * mean_diag
 
     init = trimmed_kmeans(U, k, TrimSpec(0.0), restarts=1, max_iter=20, seed=seed)
     init_labels = allocate_all(U, init, TrimSpec(0.0))[0]
@@ -188,7 +189,7 @@ def fit_gmm_em(B, k: int, seed: int = 0, max_iter: int = 200,
 
     history = []
     prev_ll = -np.inf
-    for _ in range(max_iter):
+    for _ in range(EM_MAX_ITER):
         ll, log_resp = _em_loglik(U, params)
         history.append(ll)
         if ll + 1e-8 * (1.0 + abs(ll)) < prev_ll:
@@ -207,8 +208,7 @@ def fit_gmm_em(B, k: int, seed: int = 0, max_iter: int = 200,
             covs[c] = 0.5 * (covs[c] + covs[c].T)
         params = GmmParams(weights / weights.sum(), means, covs)
 
-    hist = np.asarray(history)
-    return (params, hist) if full_output else params
+    return params, np.asarray(history)
 
 
 @dataclass
@@ -255,10 +255,7 @@ def _parse_method(spec: str) -> tuple[str, float]:
     if name == "kmeans":
         return "kmeans", 0.0
     if name == "trimmed":
-        alpha = float(arg)
-        if not 0.0 <= alpha < 1.0:
-            raise ValueError(f"trim level {alpha} outside [0, 1)")
-        return "trimmed", alpha
+        return "trimmed", TrimSpec(float(arg)).alpha
     raise ValueError(f"unknown method {spec!r}")
 
 
@@ -282,8 +279,7 @@ def _score_replicate(shared, task):
         if name == "gmm":
             best = None
             for sub in mseq.spawn(EM_RESTARTS):
-                params, hist = fit_gmm_em(coefs, cfg.k_true, seed=seed_int(sub),
-                                          full_output=True)
+                params, hist = fit_gmm_em(coefs, cfg.k_true, seed=seed_int(sub))
                 if best is None or hist[-1] > best[0]:
                     best = (hist[-1], params)
             labels = bayes_allocate(coefs, best[1])

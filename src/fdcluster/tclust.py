@@ -32,7 +32,7 @@ class TrimSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
-            raise ValueError("alpha must lie in [0, 1)")
+            raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
 
     def retained_count(self, n: int) -> int:
         """floor(n * (1 - alpha)) in exact arithmetic on alpha as written
@@ -127,10 +127,13 @@ def _classify(U: np.ndarray, model: MeanModel, h: int, u_sq: np.ndarray | None =
 
     One exact search, scoring and retain over all n rows: `trimmed_kmeans`
     scores a restart stopped at `max_iter` or left with an empty cluster
-    with it, and `allocate_all` allocates a finalized model.
+    with it, and `allocate_all` allocates a finalized model. `model` has
+    one (k, d) set of means.
     """
+    if h < 1:
+        raise ValueError("trim level leaves no points")
     n = U.shape[0]
-    labels = nearest_search(U, model.means, u_sq)[0]
+    labels = nearest_search(U, model.means[None], u_sq)[0][0]
     scores = _scores(model, chosen_sq_distances(U, model.means, labels))
     kept = _retain(scores, h)
     trimmed = np.ones(n, dtype=bool)
@@ -147,33 +150,28 @@ def tclust_objective(U, model: MeanModel, trim: TrimSpec) -> float:
     n points.
     """
     U = coef_values(U)
-    h = trim.retained_count(U.shape[0])
-    if h < 1:
-        raise ValueError("trim level leaves no points")
-    return _classify(U, model, h)[2]
+    return _classify(U, model, trim.retained_count(U.shape[0]))[2]
 
 
 def tclust_step(U, model: MeanModel, h: int, u_sq: np.ndarray | None = None
                 ) -> tuple[MeanModel, np.ndarray, np.ndarray]:
-    """One concentration step: retain h rows, split by nearest mean, recenter.
+    """One concentration step of R restarts: retain h rows, split by
+    nearest mean, recenter.
 
-    Returns the updated model, the ascending indices of the retained
-    points and their 1-based clusters; `trimmed_kmeans` stops when the
-    last two repeat. Clusters left empty by the split are re-seeded at the
-    worst-scoring retained points (successively, in cluster order), which
-    keeps the update deterministic. A model with (R, k, d) means steps R
-    restarts at once: the kept rows and clusters are then (R, h), and each
-    restart's result is the one it gets alone. `u_sq` holds the rows'
-    squared norms when the caller has them.
+    `model` holds the (R, k, d) means of R restarts. Returns the updated
+    model, the (R, h) ascending indices of each restart's retained points
+    and their 1-based clusters; `trimmed_kmeans` stops a restart when its
+    last two repeat. Each restart's result is the one it gets alone.
+    Clusters left empty by the split are re-seeded at the worst-scoring
+    retained points (successively, in cluster order), which keeps the
+    update deterministic. `u_sq` holds the rows' squared norms when the
+    caller has them.
     """
     U = coef_values(U)
     n, d = U.shape
     k = model.k
     if h < k:
         raise ValueError("retained count is smaller than the cluster count")
-    single = model.means.ndim == 2
-    if single:
-        model = MeanModel(model.means[None], model.scale)
     means = model.means
     R = means.shape[0]
 
@@ -210,8 +208,6 @@ def tclust_step(U, model: MeanModel, h: int, u_sq: np.ndarray | None = None
         for slot, c in enumerate(empty[empty // k == r] % k):
             new_means[r, c] = U[worst_first[slot % h]]
 
-    if single:
-        return MeanModel(new_means[0], model.scale), kept[0], lab[0] + 1
     return MeanModel(new_means, model.scale), kept, lab + 1
 
 

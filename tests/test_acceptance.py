@@ -287,7 +287,7 @@ def test_c10_pipeline_smoke(tmp_path):
     fd.save_labels_civl(cv, civl2)
     assert (out / "labels.civl").read_bytes() == civl2.read_bytes()
     csv2 = tmp_path / "labels2.csv"
-    fd.export_cluster_map(cv, csv2)
+    fd.export_cluster_map(cv, csv2, tmp_path / "labels3.civl")
     assert (out / "labels.csv").read_bytes() == csv2.read_bytes()
 
     # selection can be re-run from the written trace alone

@@ -348,6 +348,17 @@ def test_simulate_zero_restarts_is_refused_before_simulating(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--study", "s1", "--grid", "30x40", "--methods", "kmeans,trimmed:1.5"],
+    ["fit", "--input", "missing.civt", "--format", "civt", "--alpha", "1.5"],
+], ids=["simulate", "fit"])
+def test_alpha_outside_its_range_is_named_in_the_error(tmp_path, capsys, argv):
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "alpha must lie in [0, 1), got 1.5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("grid, method, message", [
     ("100x5", "gmm", "gmm needs more points than its 5 components"),
     ("100x8", "trimmed:0.5", "trimmed:0.5 retains 4 points, fewer than k=5"),

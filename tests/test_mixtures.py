@@ -211,19 +211,19 @@ class TestAllocation:
             params = GmmParams(np.full(4, 0.25), means,
                                np.broadcast_to(lam * np.eye(3), (4, 3, 3)).copy())
             np.testing.assert_array_equal(bayes_allocate(B, params),
-                                          nearest_search(B, model.means)[0] + 1)
+                                          nearest_search(B, model.means[None])[0][0] + 1)
 
     def test_point_at_mean_goes_to_that_cluster(self):
         means = np.array([[0.0, 0.0], [4.0, 4.0], [-3.0, 5.0]])
         params = GmmParams(np.full(3, 1 / 3), means,
                            np.broadcast_to(np.eye(2), (3, 2, 2)).copy())
         for c in range(3):
-            assert bayes_allocate(means[c], params) == c + 1
+            assert bayes_allocate(means[c][None], params)[0] == c + 1
 
     def test_prior_overrides_nearer_mean(self):
         # posterior odds 9 * exp(-(1.2^2 - 0.8^2)/2) > 1 favor cluster 1
         params = GmmParams([0.9, 0.1], [[0.0], [2.0]], [[[1.0]], [[1.0]]])
-        assert bayes_allocate(np.array([1.2]), params) == 1
+        assert bayes_allocate(np.array([1.2])[None], params)[0] == 1
 
     def test_weight_rescaling_invariance(self):
         rng = np.random.default_rng(7)
@@ -238,18 +238,18 @@ class TestAllocation:
     def test_kmeans_at_mean(self):
         means = np.array([[0.0], [5.0], [9.0]])
         model = MeanModel(means)
-        assert nearest_search(np.array([[5.0]]), model.means)[0][0] == 1
+        assert nearest_search(np.array([[5.0]]), model.means[None])[0][0, 0] == 1
 
     def test_kmeans_tie_breaks_low(self):
         model = MeanModel(np.array([[0.0], [2.0]]))
-        assert nearest_search(np.array([[1.0]]), model.means)[0][0] == 0
+        assert nearest_search(np.array([[1.0]]), model.means[None])[0][0, 0] == 0
 
     def test_kmeans_matches_exhaustive_argmin(self):
         rng = np.random.default_rng(8)
         means = rng.normal(size=(5, 3))
         model = MeanModel(means)
         B = rng.normal(size=(100, 3))
-        got = nearest_search(B, model.means)[0]
+        got = nearest_search(B, model.means[None])[0][0]
         for i in range(100):
             dists = [np.sum((B[i] - mu) ** 2) for mu in means]
             assert got[i] == int(np.argmin(dists))
@@ -259,8 +259,9 @@ class TestFitGmmEm:
     def test_k1_closed_form(self):
         rng = np.random.default_rng(9)
         U = rng.normal(size=(300, 3)) * 2 + 1
-        ridge = 1e-6
-        params = fit_gmm_em(U, 1, seed=0, ridge=ridge)
+        # the documented ridge: 1e-6 times the mean pooled variance
+        ridge = 1e-6 * np.mean(np.diag(np.cov(U, rowvar=False, bias=True)))
+        params, _ = fit_gmm_em(U, 1, seed=0)
         np.testing.assert_allclose(params.means[0], U.mean(axis=0), atol=1e-8)
         expected_cov = np.cov(U, rowvar=False, bias=True) + ridge * np.eye(3)
         np.testing.assert_allclose(params.covariances[0], expected_cov, atol=1e-8)
@@ -269,13 +270,13 @@ class TestFitGmmEm:
     def test_loglik_nondecreasing(self):
         rng = np.random.default_rng(10)
         U = np.vstack([rng.normal(-2, 1, (100, 2)), rng.normal(2, 1, (100, 2))])
-        _, hist = fit_gmm_em(U, 3, seed=1, full_output=True)
+        _, hist = fit_gmm_em(U, 3, seed=1)
         assert np.all(np.diff(hist) >= -1e-8 * (1 + np.abs(hist[:-1])))
 
     def test_recovers_two_separated_gaussians(self):
         rng = np.random.default_rng(11)
         U = np.vstack([rng.normal(-5, 1, (400, 2)), rng.normal(5, 1, (400, 2))])
-        params = fit_gmm_em(U, 2, seed=2)
+        params, _ = fit_gmm_em(U, 2, seed=2)
         means = params.means[np.argsort(params.means[:, 0])]
         assert np.abs(means[0] - (-5)).max() < 0.1
         assert np.abs(means[1] - 5).max() < 0.1

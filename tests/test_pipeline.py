@@ -359,7 +359,7 @@ class TestClusterMapExport:
         cv = ClusterVolume(dims=(2, 2, 1), labels=[1, 2, 3, 4],
                            trimmed=[False] * 4, k=4)
         path = tmp_path / "labels.csv"
-        export_cluster_map(cv, path)
+        export_cluster_map(cv, path, tmp_path / "labels.civl")
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x,y,z,label,trimmed"
         assert lines[1:] == ["0,0,0,1,0", "1,0,0,2,0", "0,1,0,3,0", "1,1,0,4,0"]
@@ -368,7 +368,7 @@ class TestClusterMapExport:
         cv = ClusterVolume(dims=(3, 2, 2), labels=[1, 2, 3, 1, 2, 3, 3, 2, 1, 1, 1, 2],
                            trimmed=np.isin(np.arange(12), [2, 7, 11]), k=3)
         path = tmp_path / "labels.csv"
-        export_cluster_map(cv, path)
+        export_cluster_map(cv, path, tmp_path / "labels.civl")
         assert path.read_bytes() == (
             b"x,y,z,label,trimmed\r\n"
             b"0,0,0,1,0\r\n1,0,0,2,0\r\n2,0,0,3,1\r\n"
@@ -380,7 +380,7 @@ class TestClusterMapExport:
         cv = ClusterVolume(dims=(2, 1, 1), labels=[1, 2], trimmed=[False, False], k=2)
         cv.labels[1] = 7  # corrupt after construction
         with pytest.raises(ValueError):
-            export_cluster_map(cv, tmp_path / "x.csv")
+            export_cluster_map(cv, tmp_path / "x.csv", tmp_path / "x.civl")
         with pytest.raises(ValueError):
             save_labels_civl(cv, tmp_path / "x.civl")
 

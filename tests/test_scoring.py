@@ -59,7 +59,7 @@ def _reference(U, M):
 @given(grid_data())
 def test_nearest_mean_matches_exact_argmin(case):
     U, M = case
-    labels = nearest_search(U, M)[0]
+    labels = nearest_search(U, M[None])[0][0]
     dist = chosen_sq_distances(U, M, labels)
     ref_labels, ref_dist = _reference(U, M)
     np.testing.assert_array_equal(labels, ref_labels)
@@ -79,11 +79,11 @@ def test_step_means_match_per_cluster_mean(case, alpha):
     trim = TrimSpec(alpha)
     assume(trim.retained_count(U.shape[0]) >= M.shape[0])
     h = trim.retained_count(U.shape[0])
-    updated, kept, kept_labels = tclust_step(U, MeanModel(M), h)
+    updated, (kept,), (kept_labels,) = tclust_step(U, MeanModel(M[None]), h)
     for c in range(M.shape[0]):
         members = kept[kept_labels == c + 1]
         if members.size:
-            np.testing.assert_array_equal(updated.means[c], U[members].mean(axis=0))
+            np.testing.assert_array_equal(updated.means[0, c], U[members].mean(axis=0))
 
 
 @pytest.mark.parametrize("rows", [1, 7, 1 << 12])
@@ -93,7 +93,7 @@ def test_nearest_mean_does_not_depend_on_block_size(monkeypatch, rows):
     M = np.round(rng.normal(size=(4, 5)), 1) + 1e3
     expected = _reference(U, M)
     monkeypatch.setattr(mixtures, "_NEAREST_ROWS", rows)
-    labels = nearest_search(U, M)[0]
+    labels = nearest_search(U, M[None])[0][0]
     dist = chosen_sq_distances(U, M, labels)
     np.testing.assert_array_equal(labels, expected[0])
     np.testing.assert_array_equal(dist, expected[1])
@@ -116,7 +116,7 @@ def test_stacked_search_does_not_depend_on_block_size(monkeypatch, scores):
 def test_exact_tie_goes_to_lower_index():
     M = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
     U = np.array([[0.0, 0.0], [0.0, -5.0], [5.0, 5.0]])
-    labels = nearest_search(U, M)[0]
+    labels = nearest_search(U, M[None])[0][0]
     dist = chosen_sq_distances(U, M, labels)
     np.testing.assert_array_equal(labels, [0, 0, 0])
     np.testing.assert_array_equal(dist, [1.0, 26.0, 41.0])
@@ -126,7 +126,7 @@ def test_exact_tie_goes_to_lower_index():
 @given(grid_data())
 def test_search_estimate_is_within_its_bound(case):
     U, M = case
-    labels, est, bound = nearest_search(U, M)
+    (labels,), (est,), (bound,) = nearest_search(U, M[None])
     ref_labels, ref_dist = _reference(U, M)
     np.testing.assert_array_equal(labels, ref_labels)
     assert np.all(np.abs(est - ref_dist) <= bound)
@@ -202,12 +202,12 @@ def _reference_step(U, M, trim, scale):
 def test_step_matches_the_exact_reference(case):
     U, M, trim, scale = case
     assume(trim.retained_count(U.shape[0]) >= M.shape[0])
-    model, kept, kept_labels = tclust_step(U, MeanModel(M, scale),
-                                           trim.retained_count(U.shape[0]))
+    model, (kept,), (kept_labels,) = tclust_step(U, MeanModel(M[None], scale),
+                                                 trim.retained_count(U.shape[0]))
     means, ref_kept, ref_labels = _reference_step(U, M, trim, scale)
     np.testing.assert_array_equal(kept, ref_kept)
     np.testing.assert_array_equal(kept_labels, ref_labels)
-    np.testing.assert_array_equal(model.means, means)
+    np.testing.assert_array_equal(model.means[0], means)
 
 
 @st.composite
@@ -236,7 +236,8 @@ def test_stacked_search_matches_each_sets_exact_argmin(data, case):
         ref_labels, ref_dist = _reference(U, means)
         np.testing.assert_array_equal(labels[r], ref_labels)
         assert np.all(np.abs(est[r] - ref_dist) <= bound[r])
-        np.testing.assert_array_equal(nearest_search(U, means)[0], ref_labels)
+        # a one-model stack gets the labels it gets inside the full stack
+        np.testing.assert_array_equal(nearest_search(U, sets[r:r + 1])[0][0], labels[r])
 
 
 @settings(max_examples=300, deadline=None)

@@ -176,6 +176,16 @@ class TestTraceCsv:
         back = SelectionTrace.read_csv(path, n_points=500)
         assert back.records == trace.records
 
+    @pytest.mark.parametrize("n_points", [0, -100, 2.5, True])
+    def test_n_points_must_be_a_positive_integer(self, tmp_path, n_points):
+        # 0 used to leave the loss unscaled and -100 to flip its sign
+        with pytest.raises(ValueError, match="n_points must be None or an integer >= 1"):
+            SelectionTrace(n_points=n_points)
+        path = tmp_path / "trace.csv"
+        make_trace([2, 3], [1.0, 0.5]).write_csv(path)
+        with pytest.raises(ValueError, match="n_points must be None or an integer >= 1"):
+            SelectionTrace.read_csv(path, n_points=n_points)
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")

@@ -12,8 +12,8 @@ from oracles import brute_objective, exhaustive_optimum, reference_lloyd
 
 import fdcluster.tclust as tclust
 from fdcluster.mixtures import MeanModel, chosen_sq_distances, nearest_search
-from fdcluster.tclust import (TrimSpec, allocate_all, tclust_objective, tclust_step,
-                              trimmed_kmeans)
+from fdcluster.tclust import (ClusterFit, TrimSpec, allocate_all, tclust_objective,
+                              tclust_step, trimmed_kmeans)
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -81,6 +81,10 @@ class TestObjective:
         with pytest.raises(ValueError):
             tclust_objective(np.zeros((1, 1)), MeanModel(np.zeros((1, 1))),
                              TrimSpec(0.99))
+        fit = ClusterFit(MeanModel(np.zeros((1, 2))), objective=0.0, iterations=1,
+                         restart_index=0)
+        with pytest.raises(ValueError, match="trim level leaves no points"):
+            allocate_all(np.zeros((1, 2)), fit, TrimSpec(0.5))
 
 
 # --- tclust_step -------------------------------------------------------------
@@ -92,23 +96,24 @@ class TestStep:
         b = rng.normal(10, 0.5, (20, 2))
         U = np.vstack([a, b])
         centroids = np.vstack([a.mean(axis=0), b.mean(axis=0)])
-        updated, kept, _ = tclust_step(U, MeanModel(centroids), 40)
-        np.testing.assert_allclose(updated.means, centroids, atol=1e-12)
+        updated, kept, _ = tclust_step(U, MeanModel(centroids[None]), 40)
+        np.testing.assert_allclose(updated.means[0], centroids, atol=1e-12)
         assert kept.size == 40
 
     def test_single_cluster_moves_to_grand_mean(self):
         rng = np.random.default_rng(4)
         U = rng.normal(size=(15, 3))
-        updated, _, _ = tclust_step(U, MeanModel(rng.normal(size=(1, 3))), 15)
-        np.testing.assert_allclose(updated.means[0], U.mean(axis=0), atol=1e-12)
+        updated, _, _ = tclust_step(U, MeanModel(rng.normal(size=(1, 1, 3))), 15)
+        np.testing.assert_allclose(updated.means[0, 0], U.mean(axis=0), atol=1e-12)
 
     def test_outlier_trimmed_and_centroids_recovered(self):
         # n=5, one extreme outlier, alpha=0.2 trims exactly one point;
         # oracle: enumerate all 4-subsets and assignments
         U = np.array([[0.0, 0.0], [0.2, 0.0], [5.0, 5.0], [5.2, 5.0], [80.0, -40.0]])
         trim = TrimSpec(0.2)
-        model = MeanModel(np.array([[0.0, 0.0], [5.0, 5.0]]))
-        updated, kept, _ = tclust_step(U, model, trim.retained_count(5))
+        model = MeanModel(np.array([[[0.0, 0.0], [5.0, 5.0]]]))
+        step, kept, _ = tclust_step(U, model, trim.retained_count(5))
+        updated = MeanModel(step.means[0])
         assert 4 not in kept
         np.testing.assert_allclose(
             updated.means, [[0.1, 0.0], [5.1, 5.0]], atol=1e-12)
@@ -122,14 +127,15 @@ class TestStep:
         model = MeanModel(U[rng.choice(60, 2, replace=False)])
         prev = tclust_objective(U, model, trim)
         for _ in range(10):
-            model, _, _ = tclust_step(U, model, trim.retained_count(60))
+            step, _, _ = tclust_step(U, MeanModel(model.means[None]), trim.retained_count(60))
+            model = MeanModel(step.means[0])
             objective = tclust_objective(U, model, trim)
             assert objective >= prev - 1e-10
             prev = objective
 
     def test_h_below_k_rejected(self):
         with pytest.raises(ValueError):
-            tclust_step(np.zeros((4, 1)), MeanModel(np.zeros((3, 1))), 2)
+            tclust_step(np.zeros((4, 1)), MeanModel(np.zeros((1, 3, 1))), 2)
 
 
 # --- trimmed_kmeans ----------------------------------------------------------
@@ -284,10 +290,10 @@ class TestAllocateAll:
         fit = trimmed_kmeans(U, 3, TrimSpec(0.0), restarts=4, seed=2)
         labels, trimmed = allocate_all(U, fit, TrimSpec(0.0))
         assert not trimmed.any()
-        step, kept, step_labels = tclust_step(U, fit.model, 90)
+        step, (kept,), (step_labels,) = tclust_step(U, MeanModel(fit.model.means[None]), 90)
         np.testing.assert_array_equal(kept, np.arange(90))
         np.testing.assert_array_equal(labels, step_labels)
-        np.testing.assert_allclose(step.means, fit.model.means, atol=1e-12)
+        np.testing.assert_allclose(step.means[0], fit.model.means, atol=1e-12)
         assert fit.objective == tclust_objective(U, fit.model, TrimSpec(0.0))
 
     def test_trimmed_points_get_nearest_mean(self):
@@ -296,7 +302,7 @@ class TestAllocateAll:
         fit = trimmed_kmeans(U, 2, TrimSpec(0.1), restarts=4, seed=4)
         labels, trimmed = allocate_all(U, fit, TrimSpec(0.1))
         assert trimmed[-1]
-        assert labels[-1] == nearest_search(U[-1:], fit.model.means)[0][0] + 1
+        assert labels[-1] == nearest_search(U[-1:], fit.model.means[None])[0][0, 0] + 1
 
     def test_heavy_trimming_still_labels_everything(self):
         rng = np.random.default_rng(16)
@@ -368,7 +374,8 @@ def _reference_fit(U, k, trim, restarts, max_iter, seed, init_means=None):
             model = MeanModel(init_means)
         last = None
         for iterations in range(1, max_iter + 1):
-            model, kept, labels = tclust_step(U, model, h)
+            step, (kept,), (labels,) = tclust_step(U, MeanModel(model.means[None]), h)
+            model = MeanModel(step.means[0])
             if (last is not None and np.array_equal(kept, last[0])
                     and np.array_equal(labels, last[1])):
                 break
