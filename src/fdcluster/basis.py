@@ -131,19 +131,19 @@ def _basis_columns(system: BasisSystem, t: np.ndarray):
 
 
 def evaluate_basis(system: BasisSystem, t) -> np.ndarray:
-    """Evaluate all d basis functions at time t (a scalar or an array).
+    """Evaluate all d basis functions at each point of the 1-D array t.
 
-    Returns a d-vector for a scalar t and one row per point otherwise; each
-    row has at most ORDER nonzero entries, nonnegative and summing to one.
-    This is the one place that scatters the values of `_basis_columns`.
+    Returns one row per point; each row has at most ORDER nonzero entries,
+    nonnegative and summing to one. This is the one place that scatters
+    the values of `_basis_columns`.
     """
-    tarr = np.atleast_1d(np.asarray(t, dtype=float))
+    tarr = np.asarray(t, dtype=float)
+    if tarr.ndim != 1:
+        raise ValueError("evaluation points must be a 1-D array")
     spans, values = _basis_columns(system, tarr)
     out = np.zeros((tarr.size, system.d))
     cols = spans[:, None] + np.arange(-(ORDER - 1), 1)[None, :]
     np.put_along_axis(out, cols, values, axis=1)
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return out[0]
     return out
 
 
@@ -211,32 +211,29 @@ def design_matrix(system: BasisSystem, grid: TimeGrid) -> DesignMatrix:
     return DesignMatrix.from_matrix(evaluate_basis(system, grid.points))
 
 
-def ols_fit(design: DesignMatrix, z: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients of one series (or a stack of series).
+def ols_fit(design: DesignMatrix, Z: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of an (n, m) stack of series, as (n, d).
 
     For a well-conditioned Gram matrix this is (X^T X)^{-1} X^T z; when the
     Gram matrix is numerically singular the Moore-Penrose solution
     (X^T X)^+ X^T z is returned instead, which is the minimum-norm
-    least-squares solution. Accepts a length-m vector or an (n, m) matrix
-    of series; returns (d,) or (n, d) accordingly. Each row's coefficients
-    are the same bits whatever the other rows are.
+    least-squares solution. Each row's coefficients are the same bits
+    whatever the other rows are.
     """
-    z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    Z = np.atleast_2d(z)
-    if Z.shape[1] != design.m:
-        raise ValueError(f"series length {Z.shape[1]} != design rows {design.m}")
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[1] != design.m:
+        raise ValueError(f"series of shape {Z.shape} do not match the "
+                         f"{design.m} design rows")
     rhs = design._xt @ Z.T               # d x n
-    coefs = design.solve_normal(rhs).T   # n x d
-    return coefs[0] if single else coefs
+    return design.solve_normal(rhs).T    # n x d
 
 
-def detrend(series: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Residuals of the per-series least-squares fit on (1, t).
+def detrend(Z: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Replace each row of an (n, m) float64 stack by its residuals from the
+    least-squares fit on (1, t), in place, and return the stack.
 
-    Output has zero mean and zero correlation with t. Accepts one series
-    or an (n, m) stack sharing the grid; each row is detrended on its own,
-    with the same bits for any stack.
+    Output rows have zero mean and zero correlation with t; each row is
+    detrended on its own, with the same bits for any stack.
     """
     t = grid.points
     if t.size < 2:
@@ -245,14 +242,13 @@ def detrend(series: np.ndarray, grid: TimeGrid) -> np.ndarray:
     stt = float(tc @ tc)
     if stt == 0.0:
         raise ValueError("constant grid: zero time variance")
-    z = np.asarray(series, dtype=float)
-    single = z.ndim == 1
-    Z = np.atleast_2d(z)
-    if Z.shape[1] != t.size:
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[1] != t.size:
         raise ValueError("series length does not match the grid")
     slope = np.einsum("ij,j->i", Z, tc) / stt   # per row, unlike a gemv
-    resid = Z - Z.mean(axis=1, keepdims=True) - slope[:, None] * tc[None, :]
-    return resid[0] if single else resid
+    Z -= Z.mean(axis=1, keepdims=True)
+    Z -= slope[:, None] * tc[None, :]
+    return Z
 
 
 def coef_values(B) -> np.ndarray:

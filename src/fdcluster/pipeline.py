@@ -44,9 +44,10 @@ _CIVL_MAGIC = b"CIVL"
 _FORMAT_VERSION = 1
 _CIVT_HEADER_BYTES = 40     # magic, five u32, two f64
 
-# Voxels filtered together in stage 1. Only one block of series (as float64,
-# with its detrend temporaries) is resident at a time; the stage-1 kernels
-# work per row, so the coefficients do not depend on this number.
+# Voxels filtered together in stage 1, and rows per block of the squared
+# deviations in `normalize_columns`. Each stage-1 task converts its blocks
+# into one float64 buffer, detrended in place; the stage-1 kernels work per
+# row, so the coefficients do not depend on this number.
 _STAGE1_ROWS = 256
 
 # Series values per stage-1 task (about 0.1 s of filtering): a task is the
@@ -212,19 +213,34 @@ class ColumnStats:
 def normalize_columns(B) -> tuple[np.ndarray, ColumnStats]:
     """Z-score each coefficient column (sample SD, ddof=1) of an n x d matrix.
 
+    `coef_values(B)` (B itself when B is a C-contiguous float64 array) is
+    normalized in place and returned with its `ColumnStats`, with no n x d
+    temporary: the squared deviations are summed block by block, carrying
+    the running sum in the row order of `std(axis=0, ddof=1)`. For d >= 2
+    the result has the bits of `(B - B.mean(0)) / B.std(0, ddof=1)`; numpy
+    sums a single column pairwise instead.
+
     Zero-variance columns are centered only and recorded with scale 1 so
     de-normalization is exact.
     """
     values = coef_values(B)
-    if values.shape[0] < 2:
+    n, d = values.shape
+    if n < 2:
         raise ValueError("normalization needs at least two series")
     means = values.mean(axis=0)
-    sds = values.std(axis=0, ddof=1)
-    sds = np.where(sds == 0.0, 1.0, sds)
-    normalized = values - means
-    normalized /= sds           # in place: one n x d copy besides the input
-    stats = ColumnStats(means=means, sds=sds)
-    return normalized, stats
+    # row 0 carries the running sum; 0.0 + x is x for the squares x >= 0
+    scratch = np.zeros((_STAGE1_ROWS + 1, d))
+    for start in range(0, n, _STAGE1_ROWS):
+        block = values[start:start + _STAGE1_ROWS]
+        squares = scratch[1:block.shape[0] + 1]
+        np.subtract(block, means, out=squares)
+        np.square(squares, out=squares)
+        scratch[0] = np.add.reduce(scratch[:block.shape[0] + 1], axis=0)
+    sds = np.sqrt(scratch[0] / (n - 1))
+    sds[sds == 0.0] = 1.0
+    values -= means
+    values /= sds
+    return values, ColumnStats(means=means, sds=sds)
 
 
 # ---------------------------------------------------------------------------
@@ -436,20 +452,22 @@ def _release_rows(series: np.ndarray, row: int, done: int | None) -> int | None:
 
 
 def _filter_rows(shared, rows) -> None:
-    """Filter rows [lo, hi) into `coefs` in place, one block at a time, and
-    release the mapped pages this task read."""
+    """Filter rows [lo, hi) into `coefs` in place, one block at a time
+    through one float64 buffer, and release the mapped pages this task read."""
     vol, design, detrended, coefs = shared
     lo, hi = rows
+    buffer = np.empty((min(_STAGE1_ROWS, hi - lo), vol.m))
     released = _release_rows(vol.series, lo, None)
     for start in range(lo, hi, _STAGE1_ROWS):
         stop = min(start + _STAGE1_ROWS, hi)
-        block = np.asarray(vol.series[start:stop], dtype=float)
+        block = buffer[:stop - start]
+        block[...] = vol.series[start:stop]
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
             voxel = start + int(np.argmin(finite))
             raise ValueError(f"volume contains non-finite values (voxel {voxel})")
         if detrended:
-            block = detrend(block, vol.grid)
+            detrend(block, vol.grid)
         coefs[start:stop] = ols_fit(design, block)
         released = _release_rows(vol.series, stop, released)
 
@@ -458,9 +476,9 @@ def _stage1_coefficients(vol: VolumeSeries, design, detrended: bool,
                          jobs: int = 1) -> np.ndarray:
     """Raw n x d coefficients, filtered in blocks of `_STAGE1_ROWS` voxels.
 
-    Each block is converted to float64, checked to be finite, detrended when
-    asked and projected. `detrend` and `ols_fit` are looked up in this
-    module's globals on every block.
+    Each block is converted into its task's one float64 buffer, checked to
+    be finite, detrended in place when asked and projected. `detrend` and
+    `ols_fit` are looked up in this module's globals on every block.
 
     The rows are split into tasks of whole blocks, about
     `_STAGE1_TASK_VALUES` series values each, run on up to `jobs`
@@ -540,7 +558,7 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig, jobs: int = 1) -> TwoStageR
             warnings.warn("fewer than two series: skipping column normalization",
                           FallbackWarning)
         else:
-            coefs, stats = normalize_columns(coefs)
+            coefs, stats = normalize_columns(coefs)   # in place: one n x d copy
 
     pen = PENALTIES[cfg.penalty]
     k_seqs = np.random.SeedSequence(cfg.seed).spawn(len(cfg.k_set))

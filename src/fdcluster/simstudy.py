@@ -255,7 +255,12 @@ def _parse_method(spec: str) -> tuple[str, float]:
     if name == "kmeans":
         return "kmeans", 0.0
     if name == "trimmed":
-        return "trimmed", TrimSpec(float(arg)).alpha
+        try:
+            alpha = float(arg)
+        except ValueError:
+            raise ValueError(f"method {spec!r} is not of the form "
+                             "trimmed:<alpha>") from None
+        return "trimmed", TrimSpec(alpha).alpha
     raise ValueError(f"unknown method {spec!r}")
 
 

@@ -1,8 +1,15 @@
 """Fixtures shared by every test module."""
 
-import multiprocessing
+import os
 
-import pytest
+# Before anything imports numpy: one BLAS thread per process, so the forked
+# workers of the pool tests do not each start a thread per CPU.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import multiprocessing  # noqa: E402
+
+import pytest  # noqa: E402
 
 
 @pytest.fixture(autouse=True)

@@ -166,7 +166,7 @@ def test_c07_stage1_numerics():
     grid = TimeGrid.uniform(0.0, 1.0, 120)
     design = design_matrix(system, grid)
     b = rng.normal(size=30)
-    fitted = ols_fit(design, design.matrix @ b)
+    fitted = ols_fit(design, (design.matrix @ b)[None])[0]
     rel = np.linalg.norm(fitted - b) / np.linalg.norm(b)
     assert rel < 1e-8, f"noiseless recovery error {rel}"
 
@@ -174,7 +174,7 @@ def test_c07_stage1_numerics():
                          TimeGrid.uniform(0.0, 1.0, 10))
     assert thin.singular
     z = rng.normal(size=10)
-    mine = ols_fit(thin, z)
+    mine = ols_fit(thin, z[None])[0]
     oracle = np.linalg.lstsq(thin.matrix, z, rcond=None)[0]
     assert np.linalg.norm(mine - oracle) <= 1e-8 * (1 + np.linalg.norm(oracle))
     assert np.linalg.norm(thin.matrix @ mine - z) < 1e-8

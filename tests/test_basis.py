@@ -57,14 +57,14 @@ class TestMakeSystem:
 class TestEvaluateBasis:
     def test_left_endpoint_interpolates(self):
         system = make_bspline_system((0.0, 1.0), 4)
-        np.testing.assert_allclose(evaluate_basis(system, 0.0), [1, 0, 0, 0])
+        np.testing.assert_allclose(evaluate_basis(system, [0.0])[0], [1, 0, 0, 0])
 
     def test_midpoint_matches_bernstein(self):
         # oracle: cubic Bernstein polynomials evaluated directly
         t = 0.5
         bernstein = [(1 - t) ** 3, 3 * t * (1 - t) ** 2, 3 * t**2 * (1 - t), t**3]
         system = make_bspline_system((0.0, 1.0), 4)
-        np.testing.assert_allclose(evaluate_basis(system, t), bernstein, atol=1e-15)
+        np.testing.assert_allclose(evaluate_basis(system, [t])[0], bernstein, atol=1e-15)
 
     @pytest.mark.parametrize("d", [4, 10, 100, 200])
     def test_partition_of_unity(self, d):
@@ -93,9 +93,9 @@ class TestEvaluateBasis:
     def test_outside_domain_rejected(self):
         system = make_bspline_system((0.0, 1.0), 5)
         with pytest.raises(ValueError):
-            evaluate_basis(system, 1.5)
+            evaluate_basis(system, [1.5])
         with pytest.raises(ValueError):
-            evaluate_basis(system, -0.1)
+            evaluate_basis(system, [-0.1])
 
 
 class TestDesignMatrix:
@@ -117,7 +117,7 @@ class TestDesignMatrix:
         design = design_matrix(system, grid)
         for j in (0, 7, 32):
             np.testing.assert_array_equal(design.matrix[j],
-                                          evaluate_basis(system, grid.points[j]))
+                                          evaluate_basis(system, grid.points[j:j + 1])[0])
 
     def test_gram_is_banded(self):
         system = make_bspline_system((0.0, 1.0), 10)
@@ -132,7 +132,7 @@ class TestOlsFit:
     def test_identity_design_returns_series(self):
         design = DesignMatrix.from_matrix(np.eye(6))
         z = np.random.default_rng(0).normal(size=6)
-        np.testing.assert_allclose(ols_fit(design, z), z, atol=1e-12)
+        np.testing.assert_allclose(ols_fit(design, z[None])[0], z, atol=1e-12)
 
     def test_noiseless_recovery(self):
         system = make_bspline_system((0.0, 1.0), 10)
@@ -140,7 +140,7 @@ class TestOlsFit:
         design = design_matrix(system, grid)
         rng = np.random.default_rng(1)
         b = rng.normal(size=10)
-        fitted = ols_fit(design, design.matrix @ b)
+        fitted = ols_fit(design, (design.matrix @ b)[None])[0]
         assert np.linalg.norm(fitted - b) / np.linalg.norm(b) < 1e-8
 
     def test_rank_deficient_matches_svd_oracle(self):
@@ -151,7 +151,7 @@ class TestOlsFit:
         assert design.singular
         rng = np.random.default_rng(2)
         z = rng.normal(size=8)
-        mine = ols_fit(design, z)
+        mine = ols_fit(design, z[None])[0]
         oracle = np.linalg.lstsq(design.matrix, z, rcond=None)[0]
         assert np.linalg.norm(design.matrix @ mine - z) < 1e-8
         np.testing.assert_allclose(mine, oracle, atol=1e-8)
@@ -162,8 +162,8 @@ class TestOlsFit:
         design = design_matrix(system, grid)
         rng = np.random.default_rng(3)
         z1, z2 = rng.normal(size=(2, 40))
-        lhs = ols_fit(design, 2.5 * z1 + z2)
-        rhs = 2.5 * ols_fit(design, z1) + ols_fit(design, z2)
+        lhs = ols_fit(design, (2.5 * z1 + z2)[None])[0]
+        rhs = 2.5 * ols_fit(design, z1[None])[0] + ols_fit(design, z2[None])[0]
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_shared_design_consistency(self):
@@ -176,28 +176,28 @@ class TestOlsFit:
         for i in range(5):
             independent = design_matrix(make_bspline_system((0.0, 1.0), 8), grid)
             # same series against independently built identical designs: bit-equal
-            np.testing.assert_array_equal(ols_fit(independent, Z[i]),
-                                          ols_fit(shared, Z[i]))
+            np.testing.assert_array_equal(ols_fit(independent, Z[i][None])[0],
+                                          ols_fit(shared, Z[i][None])[0])
             # batched solve equals the per-series solve
-            np.testing.assert_array_equal(ols_fit(independent, Z[i]), batch[i])
+            np.testing.assert_array_equal(ols_fit(independent, Z[i][None])[0], batch[i])
 
     def test_shape_mismatch_rejected(self):
         design = DesignMatrix.from_matrix(np.eye(4))
         with pytest.raises(ValueError):
-            ols_fit(design, np.zeros(5))
+            ols_fit(design, np.zeros((1, 5)))
 
 
 class TestDetrend:
     def test_exact_line_gives_zeros(self):
         grid = TimeGrid.uniform(0.0, 1.0, 30)
         series = 2.0 + 3.0 * grid.points
-        assert np.abs(detrend(series, grid)).max() < 1e-10
+        assert np.abs(detrend(series[None], grid)[0]).max() < 1e-10
 
     def test_idempotent_on_detrended_series(self):
         grid = TimeGrid.uniform(0.0, 1.0, 50)
         rng = np.random.default_rng(5)
-        once = detrend(rng.normal(size=50), grid)
-        twice = detrend(once, grid)
+        once = detrend(rng.normal(size=50)[None], grid)[0]
+        twice = detrend(once[None].copy(), grid)[0]
         np.testing.assert_allclose(twice, once, atol=1e-10)
 
     def test_quadratic_matches_normal_equations_oracle(self):
@@ -207,8 +207,8 @@ class TestDetrend:
         # oracle: residuals from solving the (1, t) normal equations directly
         A = np.column_stack([np.ones_like(t), t])
         beta = np.linalg.solve(A.T @ A, A.T @ series)
-        np.testing.assert_allclose(detrend(series, grid), series - A @ beta,
-                                   atol=1e-12)
+        np.testing.assert_allclose(detrend(series[None].copy(), grid)[0],
+                                   series - A @ beta, atol=1e-12)
 
     def test_output_mean_and_t_correlation_vanish(self):
         grid = TimeGrid.uniform(0.0, 2.0, 64)
@@ -220,7 +220,7 @@ class TestDetrend:
     def test_constant_grid_rejected(self):
         grid = TimeGrid(points=np.array([1.0]), t_lo=0.0, t_hi=2.0)
         with pytest.raises(ValueError):
-            detrend(np.array([1.0]), grid)
+            detrend(np.array([[1.0]]), grid)
 
 
 def test_coef_values_returns_a_c_contiguous_float64_matrix():
@@ -246,11 +246,11 @@ def test_one_series_gets_the_bits_of_its_row_in_a_batch(n, m, d, seed):
     grid = TimeGrid.uniform(-1.0, 3.0, m)
     design = design_matrix(make_bspline_system((-1.0, 3.0), d), grid)
     Z = rng.standard_normal((n, m)) * rng.uniform(0.1, 100.0) + rng.uniform(-50, 50)
-    resid = detrend(Z, grid)
+    resid = detrend(Z.copy(), grid)
     coefs = ols_fit(design, Z)
     for i in range(n):
-        np.testing.assert_array_equal(detrend(Z[i], grid), resid[i])
-        np.testing.assert_array_equal(ols_fit(design, Z[i]), coefs[i])
+        np.testing.assert_array_equal(detrend(Z[i][None].copy(), grid)[0], resid[i])
+        np.testing.assert_array_equal(ols_fit(design, Z[i][None])[0], coefs[i])
     for lo in range(0, n, 5):
         np.testing.assert_array_equal(ols_fit(design, Z[lo:lo + 5]), coefs[lo:lo + 5])
 

@@ -359,6 +359,18 @@ def test_alpha_outside_its_range_is_named_in_the_error(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("method", ["trimmed", "trimmed:abc"])
+def test_trimmed_method_without_an_alpha_names_the_spec_and_the_form(tmp_path, capsys,
+                                                                   method):
+    out = tmp_path / "report.csv"
+    rc = main(["simulate", "--study", "s1", "--grid", "30x40",
+               "--methods", f"kmeans,{method}", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: method {method!r} is not of the form "
+                                       "trimmed:<alpha>\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grid, method, message", [
     ("100x5", "gmm", "gmm needs more points than its 5 components"),
     ("100x8", "trimmed:0.5", "trimmed:0.5 retains 4 points, fewer than k=5"),

@@ -331,13 +331,53 @@ class TestNormalizeColumns:
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         values = rng.normal(size=(30, 5)) * [1, 10, 100, 0.1, 1]
-        normed, stats = normalize_columns(values)
+        normed, stats = normalize_columns(values.copy())
         back = stats.denormalize_rows(normed)
         np.testing.assert_allclose(back, values, atol=1e-10)
 
     def test_single_row_rejected(self):
         with pytest.raises(ValueError):
             normalize_columns(np.ones((1, 3)))
+
+    def test_normalizes_in_place_without_an_n_by_d_temporary(self):
+        n, d = 20000, 8
+        values = np.random.default_rng(4).normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            normed, _ = normalize_columns(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(normed, values)
+        assert peak < n * d * 8 / 8
+
+
+ROWS = pipeline._STAGE1_ROWS
+
+
+# d >= 2: numpy sums a single contiguous column pairwise, not row by row
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 88, 4 * ROWS + 6]),
+       st.integers(2, 12), st.integers(0, 11), st.integers(0, 2 ** 32 - 1))
+def test_blockwise_normalization_has_the_bits_of_numpy_mean_and_std(n, d, flat, seed):
+    """Means, SDs and normalized values equal mean(axis=0),
+    std(axis=0, ddof=1) and (values - means) / sds exactly, for n below, at
+    and above the block size; column `flat` (when < d) has zero variance."""
+    rng = np.random.default_rng(seed)
+    values = (rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, d)
+              + rng.uniform(-1e3, 1e3, d))
+    if flat < d:
+        values[:, flat] = rng.integers(-5, 6)    # an exact mean: zero variance
+    means = values.mean(axis=0)
+    sds = values.std(axis=0, ddof=1)
+    sds[sds == 0.0] = 1.0
+    expected = (values - means) / sds
+    normed, stats = normalize_columns(values)
+    np.testing.assert_array_equal(stats.means, means)
+    np.testing.assert_array_equal(stats.sds, sds)
+    np.testing.assert_array_equal(normed, expected)
+    if flat < d:
+        assert stats.sds[flat] == 1.0
 
 
 class TestClusterMapExport:
