@@ -18,8 +18,8 @@ from .pipeline import (ClusterVolume, ColumnStats, FallbackWarning,
                        export_mean_functions, load_labels_civl, load_volume,
                        normalize_columns, render_slice, run_two_stage,
                        save_labels_civl, save_volume_civt)
-from .selection import (PENALTIES, SelectionTrace, SlopeEstimate,
-                        SlopeEstimationError, estimate_slope_ddse, select_k)
+from .selection import (SelectionTrace, SlopeEstimate, SlopeEstimationError,
+                        estimate_slope_ddse, select_k)
 from .simstudy import adjusted_rand_index, fit_gmm_em, run_study
 from .tclust import ClusterFit, TrimSpec, allocate_all, trimmed_kmeans
 

@@ -22,7 +22,7 @@ import numpy as np
 from .pipeline import (RunConfig, export_cluster_map, export_mean_functions,
                        load_labels_civl, load_volume, render_slice,
                        run_two_stage)
-from .selection import (PENALTIES, SelectionTrace, SlopeEstimationError,
+from .selection import (SelectionTrace, SlopeEstimationError,
                         estimate_slope_ddse, select_k)
 from .simstudy import DEFAULT_METHODS, adjusted_rand_index, run_study
 
@@ -99,7 +99,7 @@ def _build_run_config(args) -> RunConfig:
     overrides = {
         "d": args.d, "lam": getattr(args, "lambda"), "alpha": args.alpha,
         "restarts": args.restarts, "max_iter": args.max_iter,
-        "seed": args.seed, "penalty": args.penalty,
+        "seed": args.seed,
     }
     for name, value in overrides.items():
         if value is not None:
@@ -152,7 +152,7 @@ def cmd_fit(args) -> int:
                       fh, indent=2)
     with open(out / "selection.json", "w") as fh:
         json.dump({"k_hat": result.k_hat, "n": result.trace.n_points,
-                   "penalty": cfg.penalty, "d": cfg.d, "alpha": cfg.alpha,
+                   "d": cfg.d, "alpha": cfg.alpha,
                    "kappa": result.slope.kappa if result.slope else None},
                   fh, indent=2)
     export_cluster_map(result.cluster_volume, out / "labels.csv", out / "labels.civl")
@@ -184,18 +184,13 @@ def cmd_select(args) -> int:
     if args.n is not None and args.n < 1:
         raise ValueError("--n must be at least 1")
     trace = SelectionTrace.read_csv(args.trace, n_points=args.n)
-    pen = PENALTIES[args.penalty]
-    rebuilt = SelectionTrace(n_points=trace.n_points)
-    for k, loglik, _, seconds in trace.records:
-        rebuilt.add(k, loglik, pen(k, args.d), seconds)
     if args.kappa is not None:
         if args.n is None:
             raise ValueError("an explicit --kappa needs --n to scale the loss")
-        k_hat = select_k(rebuilt, args.kappa)
-        print(k_hat)
+        print(select_k(trace, args.kappa))
         return 0
-    slope = estimate_slope_ddse(rebuilt)
-    k_hat = select_k(rebuilt, slope.kappa)
+    slope = estimate_slope_ddse(trace)
+    k_hat = select_k(trace, slope.kappa)
     print(k_hat)
     print(f"kappa = {slope.kappa:.6e} (window k = {slope.window})", file=sys.stderr)
     return 0
@@ -231,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", dest="max_iter", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--lambda", type=float, dest="lambda")
-    p.add_argument("--penalty", choices=tuple(PENALTIES))
     p.add_argument("--no-detrend", action="store_true")
     p.add_argument("--no-normalize", action="store_true")
     p.add_argument("--out", required=True)
@@ -249,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="re-run model selection from a sweep CSV")
     p.add_argument("--trace", required=True)
-    p.add_argument("--penalty", choices=tuple(PENALTIES), required=True)
-    p.add_argument("--d", type=int, required=True)
     p.add_argument("--kappa", type=float)
     p.add_argument("--n", type=int, help="points behind the sweep (needed with --kappa)")
     p.set_defaults(func=cmd_select)

@@ -148,21 +148,6 @@ def row_logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def gaussian_log_density(b: np.ndarray, mu: np.ndarray, V: np.ndarray) -> float:
-    """Log of the multivariate Gaussian density N(b; mu, V)."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    b = np.asarray(b, dtype=float).reshape(1, mu.size)
-    V = np.asarray(V, dtype=float).reshape(1, mu.size, mu.size)
-    return float(component_log_densities(b, GmmParams([1.0], mu, V))[0, 0])
-
-
-def mixture_log_density(b: np.ndarray, params: GmmParams) -> float:
-    """log sum_c pi_c N(b; mu_c, V_c), stabilized with log-sum-exp."""
-    b = np.asarray(b, dtype=float)
-    scores = component_log_densities(b[None, :], params)
-    return float(row_logsumexp(scores)[0])
-
-
 def _sq_distances(U: np.ndarray, means: np.ndarray) -> np.ndarray:
     """(n, k) squared Euclidean distances, computed per component."""
     n = U.shape[0]

@@ -34,8 +34,8 @@ import numpy as np
 from .basis import (TimeGrid, coef_values, design_matrix, detrend,
                     make_bspline_system, ols_fit)
 from .mixtures import spherical_log_likelihood
-from .selection import (PENALTIES, SelectionTrace, SlopeEstimate,
-                        estimate_slope_ddse, select_k)
+from .selection import (SelectionTrace, SlopeEstimate, estimate_slope_ddse,
+                        penalty_spherical, select_k)
 from .tclust import (ClusterFit, TrimSpec, allocate_all, map_tasks, seed_int,
                      trimmed_kmeans)
 
@@ -125,7 +125,6 @@ class RunConfig:
     seed: int = 0
     detrend: bool = True
     normalize: bool = True
-    penalty: str = "spherical"   # a key of selection.PENALTIES
 
     def __post_init__(self):
         # values read from a JSON file arrive unchecked: "false" is truthy
@@ -158,8 +157,6 @@ class RunConfig:
         TrimSpec(self.alpha)        # refuses an alpha outside [0, 1)
         if self.d < 4 or self.restarts < 1 or self.max_iter < 1:
             raise ValueError("d, restarts, max_iter must be positive (d >= 4)")
-        if not isinstance(self.penalty, str) or self.penalty not in PENALTIES:
-            raise ValueError(f"penalty must be one of {', '.join(PENALTIES)}")
 
 
 @dataclass
@@ -560,7 +557,6 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig, jobs: int = 1) -> TwoStageR
         else:
             coefs, stats = normalize_columns(coefs)   # in place: one n x d copy
 
-    pen = PENALTIES[cfg.penalty]
     k_seqs = np.random.SeedSequence(cfg.seed).spawn(len(cfg.k_set))
     tasks = []
     for k, seq in zip(sorted(cfg.k_set), k_seqs):
@@ -578,7 +574,7 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig, jobs: int = 1) -> TwoStageR
     trace = SelectionTrace(n_points=n)
     fits: dict[int, ClusterFit] = {}
     for (k, _, _), (fit, loglik, seconds) in zip(tasks, outcomes):
-        trace.add(k, loglik, pen(k, cfg.d), seconds)
+        trace.add(k, loglik, penalty_spherical(k, cfg.d), seconds)
         fits[k] = fit
 
     slope = None

@@ -1,4 +1,4 @@
-"""Penalties, data-driven slope estimation, and the penalized choice of k.
+"""The penalty, data-driven slope estimation, and the penalized choice of k.
 
 The candidate sweep produces one record per cluster count k: the best
 log-likelihood over restarts, the penalty value, and the wall time. The
@@ -94,22 +94,15 @@ class SlopeEstimate:
 
 
 def penalty_spherical(k: int, d: int) -> float:
-    """Penalty for the equal-weight spherical model: one mean per component."""
+    """Penalty for the equal-weight spherical model: one mean per component.
+
+    The slope heuristic needs only the penalty's shape: the estimated slope
+    calibrates its constant, so another penalty linear in k (the
+    full-covariance parameter count, say) selects the same k.
+    """
     if k < 1 or d < 1:
         raise ValueError("k and d must be positive")
     return float(d * k)
-
-
-def penalty_gmm_full(k: int, d: int) -> float:
-    """Free-parameter count of the full-covariance k-component mixture."""
-    if k < 1 or d < 1:
-        raise ValueError("k and d must be positive")
-    return (d * d / 2.0 + 1.5 * d + 1.0) * k - 1.0
-
-
-# The penalties by name: the one table behind the run config, the sweep and
-# the CLI's --penalty choices.
-PENALTIES = {"spherical": penalty_spherical, "full": penalty_gmm_full}
 
 
 def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:

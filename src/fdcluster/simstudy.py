@@ -248,12 +248,12 @@ class StudyReport:
 
 
 def _parse_method(spec: str) -> tuple[str, float]:
-    name, _, arg = spec.partition(":")
+    name, sep, arg = spec.partition(":")
     name = name.strip().lower()
-    if name == "gmm":
-        return "gmm", 0.0
-    if name == "kmeans":
-        return "kmeans", 0.0
+    if name in ("gmm", "kmeans"):
+        if sep:
+            raise ValueError(f"method {spec!r} takes no argument")
+        return name, 0.0
     if name == "trimmed":
         try:
             alpha = float(arg)
@@ -302,11 +302,11 @@ def run_study(study: str, grid_cells, replicates: int,
               base_config: SimConfig | None = None, jobs: int = 1) -> StudyReport:
     """Simulate and score every (m, n) cell with every requested method.
 
-    Methods are given as "gmm", "kmeans", or "trimmed:<alpha>". Clustering
-    runs with k fixed at the generating class count; every point is
-    allocated (the nearest-mean rule for the k-means variants, the
-    posterior-weight rule for the fitted mixture) and scored against the
-    true labels. Per-(cell, replicate, method) RNG streams are split from
+    Methods are given as "gmm", "kmeans", or "trimmed:<alpha>", each at
+    most once. Clustering runs with k fixed at the generating class count;
+    every point is allocated (the nearest-mean rule for the k-means
+    variants, the posterior-weight rule for the fitted mixture) and scored
+    against the true labels. Per-(cell, replicate, method) RNG streams are split from
     the master seed, so results do not depend on execution order.
 
     The (cell, replicate) pairs run on up to `jobs` processes (`map_tasks`;
@@ -320,7 +320,12 @@ def run_study(study: str, grid_cells, replicates: int,
         raise ValueError("restarts must be positive")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    parsed = [_parse_method(s) for s in methods]
+    parsed = []
+    for spec in methods:
+        method = _parse_method(spec)
+        if method in parsed:
+            raise ValueError(f"method {spec!r} is listed twice")
+        parsed.append(method)
     cells = [(int(m), int(n)) for m, n in grid_cells]
     configs = [SimConfig(study=study, n=n, m=m) if base_config is None
                else replace(base_config, study=study, n=n, m=m) for m, n in cells]

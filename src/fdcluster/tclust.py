@@ -260,12 +260,11 @@ def map_tasks(task, shared, items, cost, jobs: int = 1) -> list:
 
 def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,
                    max_iter: int = 20, seed: int = 0,
-                   init_means: np.ndarray | None = None,
                    scale: float = 1.0) -> ClusterFit:
     """Multi-start trimmed k-means.
 
-    Each restart starts from k distinct points drawn uniformly from U
-    (stream derived from (seed, restart index)) and iterates the
+    Restart r starts from k distinct points drawn uniformly from U with the
+    stream SeedSequence(seed, spawn_key=(r,)), and iterates the
     concentration step until the retained set and all assignments repeat,
     or `max_iter` is reached. The restart with the largest final objective
     wins (the first in restart order among equals); its means are returned
@@ -281,9 +280,6 @@ def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,
     its certified retain is already the exact one; the objective is the
     ascending sum of its kept rows' exact scores. Any other restart is
     scored by a full `_classify`.
-
-    `init_means` replaces the random initialization (restarts is then
-    forced to 1), which is how reference runs reproduce a specific start.
     """
     U = coef_values(U)
     n, d = U.shape
@@ -298,11 +294,6 @@ def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,
         raise ValueError("restarts must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    if init_means is not None:
-        restarts = 1
-        means0 = np.atleast_2d(np.asarray(init_means, dtype=float))
-        if means0.shape != (k, d):
-            raise ValueError("init_means must be k x d")
 
     cap = max(1, _CHUNK // n)
     u_sq = np.einsum("ij,ij->i", U, U)
@@ -318,13 +309,10 @@ def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,
     while next_r < restarts or order.size:
         joining = range(next_r, min(restarts, next_r + cap - order.size))
         if joining:
-            if init_means is not None:
-                starts = [means0]
-            else:
-                # restart r's stream is the r-th child SeedSequence(seed).spawn
-                # would make, built when the restart joins
-                starts = [U[np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-                            .choice(n, size=k, replace=False)] for r in joining]
+            # restart r's stream is the r-th child SeedSequence(seed).spawn
+            # would make, built when the restart joins
+            starts = [U[np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+                        .choice(n, size=k, replace=False)] for r in joining]
             order = np.concatenate((order, joining))
             means = np.concatenate((means, starts))
             iterations = np.concatenate((iterations, np.zeros(len(joining), np.intp)))

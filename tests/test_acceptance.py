@@ -98,9 +98,12 @@ def test_c04_alpha0_matches_reference_lloyd():
         centers = rng.normal(0, 4, (k, d))
         labels = rng.integers(0, k, n)
         U = centers[labels] + rng.normal(0, 1, (n, d))
-        init = U[rng.choice(n, k, replace=False)]
-        fit = trimmed_kmeans(U, k, TrimSpec(0.0), init_means=init)
-        ref_labels, ref_means = reference_lloyd(U, init)
+        # the draw keeps the later trials' fixtures; the fit starts from its
+        # documented stream, restart 0 of seed `trial`
+        rng.choice(n, k, replace=False)
+        fit = trimmed_kmeans(U, k, TrimSpec(0.0), restarts=1, seed=trial)
+        start_rng = np.random.default_rng(np.random.SeedSequence(trial, spawn_key=(0,)))
+        ref_labels, ref_means = reference_lloyd(U, U[start_rng.choice(n, k, replace=False)])
         order = np.lexsort(ref_means.T[::-1])
         relabel = np.empty(k, dtype=int)
         relabel[order] = np.arange(k)
@@ -244,7 +247,7 @@ def test_c09_consistency_trend():
 
 # -- 10 ------------------------------------------------------------------
 
-def test_c10_pipeline_smoke(tmp_path):
+def test_c10_pipeline_smoke(tmp_path, capsys):
     """20x20x5 blocked volume: CLI fit selects k=3, labels are pure within
     blocks, and every exported artifact round-trips bit-exactly."""
     rng = np.random.default_rng(1234)
@@ -290,9 +293,10 @@ def test_c10_pipeline_smoke(tmp_path):
     fd.export_cluster_map(cv, csv2, tmp_path / "labels3.civl")
     assert (out / "labels.csv").read_bytes() == csv2.read_bytes()
 
-    # selection can be re-run from the written trace alone
-    rc = main(["select", "--trace", str(out / "trace.csv"),
-               "--penalty", "spherical", "--d", "20"])
+    # selection re-run from the written trace alone repeats fit's choice
+    capsys.readouterr()
+    rc = main(["select", "--trace", str(out / "trace.csv")])
     assert rc == 0
+    assert int(capsys.readouterr().out) == selection["k_hat"]
     report(10, f"pipeline smoke: k_hat=3, purity {purity / vol.n:.4f}, "
                "all artifacts round-trip bit-exactly")

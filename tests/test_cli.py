@@ -64,10 +64,11 @@ def test_fit_config_file_with_flag_override(tmp_path, blocked_civt):
 def test_fit_unknown_config_field_is_validation_error(tmp_path, blocked_civt):
     vol_path, _ = blocked_civt
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"bogus": 1}))
-    rc = main(["fit", "--input", str(vol_path), "--format", "civt",
-               "--config", str(cfg_path), "--out", str(tmp_path / "x")])
-    assert rc == 2
+    for config in ({"bogus": 1}, {"penalty": "spherical"}):
+        cfg_path.write_text(json.dumps(config))
+        rc = main(["fit", "--input", str(vol_path), "--format", "civt",
+                   "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert rc == 2
 
 
 @pytest.mark.parametrize("bad", [
@@ -194,17 +195,14 @@ def test_select_with_ddse_and_explicit_kappa(tmp_path):
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
 
-    rc = main(["select", "--trace", str(path), "--penalty", "spherical",
-               "--d", "10"])
+    rc = main(["select", "--trace", str(path)])
     assert rc == 0
 
-    rc = main(["select", "--trace", str(path), "--penalty", "spherical",
-               "--d", "10", "--kappa", "0.002", "--n", "100"])
+    rc = main(["select", "--trace", str(path), "--kappa", "0.002", "--n", "100"])
     assert rc == 0
 
     # explicit kappa without n cannot scale the loss
-    rc = main(["select", "--trace", str(path), "--penalty", "spherical",
-               "--d", "10", "--kappa", "0.002"])
+    rc = main(["select", "--trace", str(path), "--kappa", "0.002"])
     assert rc == 2
 
 
@@ -220,8 +218,8 @@ def _five_row_trace(tmp_path):
 
 
 def test_select_with_explicit_kappa_prints_the_penalized_minimum(tmp_path, capsys):
-    rc = main(["select", "--trace", str(_five_row_trace(tmp_path)), "--penalty",
-               "spherical", "--d", "10", "--kappa", "0.01", "--n", "100"])
+    rc = main(["select", "--trace", str(_five_row_trace(tmp_path)),
+               "--kappa", "0.01", "--n", "100"])
     assert rc == 0
     assert capsys.readouterr().out == "4\n"
 
@@ -234,8 +232,8 @@ def test_select_with_explicit_kappa_prints_the_penalized_minimum(tmp_path, capsy
 ], ids=["kappa-nan", "kappa-inf", "n-negative", "n-zero"])
 def test_select_refuses_a_kappa_or_n_it_cannot_use(tmp_path, capsys, kappa, n, message):
     # each used to print a k (2, 2, 2 and 6) with exit code 0
-    rc = main(["select", "--trace", str(_five_row_trace(tmp_path)), "--penalty",
-               "spherical", "--d", "10", "--kappa", kappa, "--n", n])
+    rc = main(["select", "--trace", str(_five_row_trace(tmp_path)),
+               "--kappa", kappa, "--n", n])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
@@ -267,7 +265,7 @@ def test_select_prints_chosen_k(tmp_path, capsys):
         trace.add(k, -loss * 50, penalty_spherical(k, 10), 0.0)
     path = tmp_path / "t.csv"
     trace.write_csv(path)
-    rc = main(["select", "--trace", str(path), "--penalty", "spherical", "--d", "10"])
+    rc = main(["select", "--trace", str(path)])
     captured = capsys.readouterr()
     assert rc == 0
     assert captured.out.strip().isdigit()
@@ -279,7 +277,7 @@ def test_select_flat_trace_exits_3(tmp_path):
         trace.add(k, -100.0, penalty_spherical(k, 10), 0.0)
     path = tmp_path / "flat.csv"
     trace.write_csv(path)
-    rc = main(["select", "--trace", str(path), "--penalty", "spherical", "--d", "10"])
+    rc = main(["select", "--trace", str(path)])
     assert rc == 3
 
 
@@ -368,6 +366,24 @@ def test_trimmed_method_without_an_alpha_names_the_spec_and_the_form(tmp_path, c
     assert rc == 2
     assert capsys.readouterr().err == (f"error: method {method!r} is not of the form "
                                        "trimmed:<alpha>\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("methods, message", [
+    ("kmeans:0.3", "method 'kmeans:0.3' takes no argument"),
+    ("gmm:abc", "method 'gmm:abc' takes no argument"),
+    ("kmeans,gmm,kmeans", "method 'kmeans' is listed twice"),
+    ("trimmed:0.25,trimmed:.25", "method 'trimmed:.25' is listed twice"),
+], ids=["kmeans-alpha", "gmm-word", "kmeans-twice", "trimmed-twice"])
+def test_simulate_method_spec_it_would_misread_is_refused(tmp_path, capsys, methods,
+                                                          message):
+    # taken as given, the argument to gmm or kmeans would be dropped, and a
+    # repeated method's two rows would each average both lists of ARIs
+    out = tmp_path / "report.csv"
+    rc = main(["simulate", "--study", "s1", "--grid", "30x40",
+               "--methods", methods, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdcluster.selection import (SelectionTrace, SlopeEstimationError,
-                                 estimate_slope_ddse, penalty_gmm_full,
+from fdcluster.selection import (MIN_WINDOW, SelectionTrace,
+                                 SlopeEstimationError, estimate_slope_ddse,
                                  penalty_spherical, select_k)
 
 
@@ -22,28 +22,9 @@ class TestPenalties:
         assert penalty_spherical(1, 1) == 1
         assert penalty_spherical(5, 10) == 50
 
-    def test_full_values(self):
-        assert penalty_gmm_full(1, 1) == 2
-        assert penalty_gmm_full(2, 2) == 11
-
-    def test_full_matches_parameter_enumeration(self):
-        # oracle: means + covariance triangles + free weights, summed
-        for k in range(1, 7):
-            for d in (1, 2, 5, 20):
-                count = k * d + k * d * (d + 1) // 2 + (k - 1)
-                assert penalty_gmm_full(k, d) == count
-
-    def test_full_increment_constant_in_k(self):
-        d = 13
-        increments = {penalty_gmm_full(k, d) - penalty_gmm_full(k - 1, d)
-                      for k in range(2, 9)}
-        assert len(increments) == 1
-
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             penalty_spherical(0, 5)
-        with pytest.raises(ValueError):
-            penalty_gmm_full(2, 0)
 
 
 class TestDdse:
@@ -138,7 +119,9 @@ class TestSelectK:
     def test_same_k_when_pen_scales_by_c_and_kappa_by_1_over_c(self, logliks, kappa,
                                                                power, d):
         # with c a power of two both scalings are exact, so every criterion
-        # value and hence the argmin (ties included) is unchanged
+        # value and hence the argmin (ties included) is unchanged; the
+        # estimated slope scales by exactly 1 / c, so a penalty linear in k
+        # selects the same k whatever its constant
         c = 2.0 ** power
         trace = SelectionTrace(n_points=1)
         scaled = SelectionTrace(n_points=1)
@@ -146,6 +129,20 @@ class TestSelectK:
             trace.add(k, loglik, penalty_spherical(k, d))
             scaled.add(k, loglik, c * penalty_spherical(k, d))
         assert select_k(scaled, kappa / c) == select_k(trace, kappa)
+        # a product or quotient below the normal range rounds differently at
+        # the two scales; losses of 0 or of at least 1e-200 in size keep
+        # every one of them in range
+        if len(logliks) >= MIN_WINDOW and all(v == 0 or abs(v) >= 1e-200
+                                               for v in logliks):
+            try:
+                est = estimate_slope_ddse(trace)
+            except SlopeEstimationError:
+                with pytest.raises(SlopeEstimationError):
+                    estimate_slope_ddse(scaled)
+            else:
+                est_scaled = estimate_slope_ddse(scaled)
+                assert est_scaled.kappa == est.kappa / c
+                assert est_scaled.window == est.window
 
     def test_rule10_penalty_increment(self):
         # kappa = 1.335e-3 at d=100: one extra cluster costs 0.267

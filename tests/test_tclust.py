@@ -162,9 +162,12 @@ class TestTrimmedKmeans:
         rng = np.random.default_rng(8)
         for trial in range(5):
             U = rng.normal(size=(120, 2)) + rng.integers(0, 3, 120)[:, None] * 4.0
-            init = U[rng.choice(120, 3, replace=False)]
-            fit = trimmed_kmeans(U, 3, TrimSpec(0.0), init_means=init)
-            ref_labels, ref_means = reference_lloyd(U, init)
+            # the draw keeps the later trials' fixtures; the fit starts from
+            # its documented stream, restart 0 of seed `trial`
+            rng.choice(120, 3, replace=False)
+            fit = trimmed_kmeans(U, 3, TrimSpec(0.0), restarts=1, seed=trial)
+            start_rng = np.random.default_rng(np.random.SeedSequence(trial, spawn_key=(0,)))
+            ref_labels, ref_means = reference_lloyd(U, U[start_rng.choice(120, 3, replace=False)])
             order = np.lexsort(ref_means.T[::-1])
             relabel = np.empty(3, dtype=int)
             relabel[order] = np.arange(3)
@@ -359,7 +362,7 @@ def _fit_under_cap(case, cap):
         return trimmed_kmeans(U, k, trim, restarts=restarts, max_iter=max_iter, seed=seed)
 
 
-def _reference_fit(U, k, trim, restarts, max_iter, seed, init_means=None):
+def _reference_fit(U, k, trim, restarts, max_iter, seed):
     """The multi-start driver one restart at a time, every restart scored by
     a full `_classify` of its final means; the winner's labels (remapped to
     the sorted means) and trim flags are those of that classification."""
@@ -367,11 +370,8 @@ def _reference_fit(U, k, trim, restarts, max_iter, seed, init_means=None):
     h = trim.retained_count(n)
     best = None
     for r in range(restarts):
-        if init_means is None:
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-            model = MeanModel(U[rng.choice(n, size=k, replace=False)])
-        else:
-            model = MeanModel(init_means)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+        model = MeanModel(U[rng.choice(n, size=k, replace=False)])
         last = None
         for iterations in range(1, max_iter + 1):
             step, (kept,), (labels,) = tclust_step(U, MeanModel(model.means[None]), h)
@@ -428,18 +428,17 @@ def test_fit_does_not_depend_on_the_batch_cap(case):
 
 
 def test_a_restart_that_repeats_with_an_empty_cluster_is_classified():
-    # step 1 leaves cluster 2 empty and reseeds it on row 0, where cluster 0
-    # lands too; step 2 repeats the kept rows and labels, cluster 2 empty
-    # again (the tie goes to cluster 0), and reseeds it on row 2, which its
-    # last step scored under cluster 1: only a full classification of the
-    # returned means moves row 2 to cluster 2
-    U = np.array([[0.0], [0.0], [8.0], [12.0]])
-    init = np.array([[-3.0], [10.0], [100.0]])
-    fit = trimmed_kmeans(U, 3, TrimSpec(0.0), init_means=init)
-    assert fit.iterations == 2
-    np.testing.assert_array_equal(fit.model.means, [[0.0], [8.0], [10.0]])
-    _assert_fit_is(fit, _reference_fit(U, 3, TrimSpec(0.0), 1, 20, 0, init),
-                   U, TrimSpec(0.0))
+    # all three means start at -5; step 2 leaves cluster 3 empty and reseeds
+    # it on a row at -5; step 3 repeats step 2's kept rows and labels, cluster
+    # 3 empty again, and reseeds it on row 6, which its last step scored
+    # under cluster 2: only a full classification of the returned means
+    # moves row 6 to cluster 3
+    U = np.array([[-1.0], [-1.0], [-5.0], [-5.0], [-9.0], [-5.0], [-2.0], [-5.0]])
+    trim = TrimSpec(0.1)
+    fit = trimmed_kmeans(U, 3, trim, restarts=1, max_iter=4, seed=682)
+    assert fit.iterations == 3
+    np.testing.assert_array_equal(fit.model.means, [[-5.0], [-2.0], [-4 / 3]])
+    _assert_fit_is(fit, _reference_fit(U, 3, trim, 1, 4, 682), U, trim)
 
 
 def test_objective_tie_goes_to_the_first_restart_across_batches():
