@@ -190,9 +190,9 @@ def cmd_select(args) -> int:
         print(select_k(trace, args.kappa))
         return 0
     slope = estimate_slope_ddse(trace)
-    k_hat = select_k(trace, slope.kappa)
-    print(k_hat)
-    print(f"kappa = {slope.kappa:.6e} (window k = {slope.window})", file=sys.stderr)
+    print(select_k(trace, slope.kappa))
+    name, hint = ("kappa", "") if args.n is not None else ("n*kappa", "; pass --n for fit's kappa")
+    print(f"{name} = {slope.kappa:.6e} (window k = {slope.window}){hint}", file=sys.stderr)
     return 0
 
 

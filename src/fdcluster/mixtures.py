@@ -259,9 +259,9 @@ def chosen_sq_distances(U: np.ndarray, means: np.ndarray, labels: np.ndarray,
     out = np.empty(m)
     for lo in range(0, m, _NEAREST_ROWS):
         part = slice(lo, lo + _NEAREST_ROWS)
-        block = U[part] if rows is None else U[rows[part]]
         diff = means[labels[part]]
-        np.subtract(block, diff, out=diff)
+        # gathered rows are freed at once, so at most two blocks live (peak memory)
+        np.subtract(U[part] if rows is None else U[rows[part]], diff, out=diff)
         out[part] = np.einsum("ij,ij->i", diff, diff)
     return out
 

@@ -80,8 +80,9 @@ def _certified_retain(U: np.ndarray, model: MeanModel, h: int,
                       u_sq: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """`_retain` of each restart's exact best scores, from estimated distances.
 
-    `model` holds the (R, k, d) means of R restarts. Returns the (R, h) kept
-    rows in ascending order and their 0-based nearest means. For one
+    Stage 2's one retain rule. `model` holds the (R, k, d) means of R
+    restarts. Returns the (R, h) kept rows in ascending order and the (R, n)
+    0-based nearest means of every row. For one
     restart: `nearest_search` gives each row's label, an estimate `est` and
     a `bound` such that the chosen difference-form distance D lies within
     `bound` of `est`, so the h-th smallest estimate, `cut`, lies within
@@ -118,39 +119,36 @@ def _certified_retain(U: np.ndarray, model: MeanModel, h: int,
         band[r, rows[_retain(_scores(model, d2), need[r])]] = True
     keep |= band
     kept = np.flatnonzero(keep).reshape(-1, h)
-    kept -= keep.shape[1] * np.arange(kept.shape[0])[:, None]
-    return kept, np.take_along_axis(labels, kept, axis=1)
+    kept -= n * np.arange(R)[:, None]
+    return kept, labels
 
 
-def _classify(U: np.ndarray, model: MeanModel, h: int, u_sq: np.ndarray | None = None):
-    """Nearest-mean labels of every point, trim flags, and the trimmed objective.
+def _kept_objective(U: np.ndarray, model: MeanModel, rows, labels) -> float:
+    """The trimmed objective of one (k, d) model: the exact scores of its kept
+    `rows` under their 0-based means `labels`, summed in row order, over n."""
+    d2 = chosen_sq_distances(U, model.means, labels, rows)
+    return float(np.sum(_scores(model, d2))) / U.shape[0]
 
-    One exact search, scoring and retain over all n rows: `trimmed_kmeans`
-    scores a restart stopped at `max_iter` or left with an empty cluster
-    with it, and `allocate_all` allocates a finalized model. `model` has
-    one (k, d) set of means.
-    """
+
+def _retain_one(U: np.ndarray, model: MeanModel, trim: TrimSpec):
+    """One (k, d) model's kept rows at level `trim` and every row's label."""
+    h = trim.retained_count(U.shape[0])
     if h < 1:
         raise ValueError("trim level leaves no points")
-    n = U.shape[0]
-    labels = nearest_search(U, model.means[None], u_sq)[0][0]
-    scores = _scores(model, chosen_sq_distances(U, model.means, labels))
-    kept = _retain(scores, h)
-    trimmed = np.ones(n, dtype=bool)
-    trimmed[kept] = False
-    objective = float(np.sum(scores[kept])) / n
-    return labels + 1, trimmed, objective
+    kept, labels = _certified_retain(U, MeanModel(model.means[None], model.scale), h, None)
+    return kept[0], labels[0]
 
 
 def tclust_objective(U, model: MeanModel, trim: TrimSpec) -> float:
     """Average best-component log-score over the retained points.
 
     The floor(n * (1 - alpha)) points with the largest best-component
-    scores contribute; the rest contribute zero. The average is over all
-    n points.
+    scores, kept by `_certified_retain`, contribute; the rest contribute
+    zero. The average is over all n points.
     """
     U = coef_values(U)
-    return _classify(U, model, trim.retained_count(U.shape[0]))[2]
+    kept, labels = _retain_one(U, model, trim)
+    return _kept_objective(U, model, kept, labels[kept])
 
 
 def tclust_step(U, model: MeanModel, h: int, u_sq: np.ndarray | None = None
@@ -176,6 +174,7 @@ def tclust_step(U, model: MeanModel, h: int, u_sq: np.ndarray | None = None
     R = means.shape[0]
 
     kept, lab = _certified_retain(U, model, h, u_sq)
+    lab = np.take_along_axis(lab, kept, axis=1)
 
     # one stable sort (a radix sort on the small key type) lays out each
     # (restart, cluster)'s members contiguously and in ascending index order;
@@ -274,12 +273,12 @@ def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,
     time once n > _CHUNK); a restart leaves the batch when it stops and the
     next one takes its place. Batching changes no restart's result.
 
-    A restart that stopped on a repeat with no cluster empty is scored from
-    its last step: that step recentered the same kept rows and clusters as
-    the step before, so it returned, bit for bit, the means it scored, and
-    its certified retain is already the exact one; the objective is the
-    ascending sum of its kept rows' exact scores. Any other restart is
-    scored by a full `_classify`.
+    A restart's objective sums its kept rows' exact scores in row order.
+    One that stopped on a repeat with no cluster empty keeps its last
+    step's rows: that step recentered the same kept rows and clusters as
+    the step before, so it returned, bit for bit, the means it scored. The
+    others stopping at one step (at `max_iter`, or repeating with a cluster
+    emptied) keep those of one `_certified_retain` of their final means.
     """
     U = coef_values(U)
     n, d = U.shape
@@ -316,9 +315,8 @@ def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,
             order = np.concatenate((order, joining))
             means = np.concatenate((means, starts))
             iterations = np.concatenate((iterations, np.zeros(len(joining), np.intp)))
-            fresh = np.full((len(joining), h), -1)
-            prev_kept = np.concatenate((prev_kept, fresh))
-            prev_labels = np.concatenate((prev_labels, fresh))
+            prev_kept, prev_labels = (np.concatenate((prev, np.full((len(joining), h), -1)))
+                                      for prev in (prev_kept, prev_labels))
             next_r = joining.stop
 
         model, kept, kept_labels = tclust_step(U, MeanModel(means, scale), h, u_sq)
@@ -326,21 +324,21 @@ def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,
         repeated = (kept == prev_kept).all(axis=1) & (kept_labels == prev_labels).all(axis=1)
         done = repeated | (iterations == max_iter)
         stay = ~done
-        # the kept rows and 0-based clusters of each restart scored from its
-        # last step, copied out so that the batch's rows can be dropped
-        # before any restart is scored (peak memory)
+        # each finished restart's kept rows and 0-based clusters: copied from
+        # its last step (the batch's rows go before any scoring: peak memory)
+        # or from one retain of the others
         last = {j: (kept[j].copy(), kept_labels[j] - 1) for j in np.flatnonzero(repeated)
                 if np.bincount(kept_labels[j], minlength=k + 1)[1:].all()}
         prev_kept, prev_labels = kept[stay], kept_labels[stay]
         del kept, kept_labels
+        unsearched = [j for j in np.flatnonzero(done) if j not in last]
+        if unsearched:
+            rows, labels = _certified_retain(U, MeanModel(model.means[unsearched], scale), h, u_sq)
+            last.update((j, (rows[i], labels[i, rows[i]])) for i, j in enumerate(unsearched))
+            del rows, labels
         for j in np.flatnonzero(done):
             fit = MeanModel(model.means[j], scale)
-            if j in last:
-                rows, lab = last.pop(j)
-                d2 = chosen_sq_distances(U, fit.means, lab, rows)
-                objective = float(np.sum(_scores(fit, d2))) / n
-            else:
-                objective = _classify(U, fit, h, u_sq)[2]
+            objective = _kept_objective(U, fit, *last.pop(j))
             r = int(order[j])
             if best is None or objective > best[0] or (objective == best[0] and r < best[3]):
                 best = (objective, fit, int(iterations[j]), r)
@@ -355,10 +353,12 @@ def allocate_all(U, fit: ClusterFit, trim: TrimSpec) -> tuple[np.ndarray, np.nda
     """Nearest-mean labels (1-based) of every point, trimmed ones included,
     and the trim flags of `fit`'s model at level `trim`.
 
-    One `_classify` of the finalized model, the only place labels and trim
-    flags are computed: a point equally near two means goes to the first in
-    their sorted order.
+    One `_certified_retain` of the finalized model, the only place labels
+    and trim flags are computed: a point equally near two means goes to the
+    first in their sorted order.
     """
     U = coef_values(U)
-    labels, trimmed, _ = _classify(U, fit.model, trim.retained_count(U.shape[0]))
-    return labels, trimmed
+    kept, labels = _retain_one(U, fit.model, trim)
+    trimmed = np.ones(U.shape[0], dtype=bool)
+    trimmed[kept] = False
+    return labels + 1, trimmed

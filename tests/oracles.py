@@ -3,7 +3,10 @@
 Everything here is deliberately written with plain loops or a different
 algorithmic route than the library (pair counting instead of contingency
 algebra, exhaustive enumeration instead of concentration steps, scipy
-cdist instead of the library's distance kernels).
+cdist instead of the library's distance kernels). `exact_classification`
+is the exception: it is the library's exact route (`_sq_distances` over
+every row, then `_retain`), which its estimated search must reproduce bit
+for bit.
 """
 
 import itertools
@@ -11,6 +14,9 @@ import math
 
 import numpy as np
 from scipy.spatial.distance import cdist
+
+from fdcluster.mixtures import _sq_distances
+from fdcluster.tclust import _retain
 
 
 def pair_counting_ari(a, b):
@@ -30,6 +36,27 @@ def pair_counting_ari(a, b):
     if denom == 0:
         return 1.0
     return (n11 - expected) / denom
+
+
+def exact_scores(U, model):
+    """Nearest means (0-based) of every row from exact distances to all
+    means, ties to the lowest index, and each row's exact log-score."""
+    d2 = _sq_distances(U, model.means)
+    labels = np.argmin(d2, axis=1)
+    chosen = d2[np.arange(U.shape[0]), labels]
+    return labels, model.log_score_const - chosen / (2.0 * model.scale)
+
+
+def exact_classification(U, model, h):
+    """Labels (1-based) of every row, trim flags and the trimmed objective
+    of one model, from exact scores of every row: the h best are kept by
+    `_retain`, and the objective adds their scores in ascending row order
+    and divides by n."""
+    labels, scores = exact_scores(U, model)
+    kept = _retain(scores, h)
+    trimmed = np.ones(U.shape[0], dtype=bool)
+    trimmed[kept] = False
+    return labels + 1, trimmed, float(np.sum(scores[kept])) / U.shape[0]
 
 
 def brute_objective(U, means, alpha, lam=1.0):

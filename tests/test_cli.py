@@ -206,6 +206,30 @@ def test_select_with_ddse_and_explicit_kappa(tmp_path):
     assert rc == 2
 
 
+def test_select_names_the_scale_of_the_kappa_it_prints(tmp_path, capsys):
+    # without --n the slope is fitted on the total loss, n times fit's kappa;
+    # with --n the printed kappa is one --kappa takes back
+    trace = SelectionTrace(n_points=100)
+    for k in range(2, 11):
+        loss = 10.0 / k + 0.002 * penalty_spherical(k, 10)
+        trace.add(k, -loss * 100, penalty_spherical(k, 10), 0.0)
+    path = tmp_path / "trace.csv"
+    trace.write_csv(path)
+
+    assert main(["select", "--trace", str(path), "--n", "100"]) == 0
+    out, err = capsys.readouterr()
+    assert err.startswith("kappa = ")
+    kappa = err.split()[2]
+    assert main(["select", "--trace", str(path), "--kappa", kappa, "--n", "100"]) == 0
+    assert capsys.readouterr().out == out
+
+    assert main(["select", "--trace", str(path)]) == 0
+    total_out, err = capsys.readouterr()
+    assert total_out == out
+    assert err.startswith("n*kappa = ") and "pass --n for fit's kappa" in err
+    assert float(err.split()[2]) == pytest.approx(100 * float(kappa), rel=1e-6)
+
+
 def _five_row_trace(tmp_path):
     """A trace on which --kappa 0.01 --n 100 gives the criterion
     2.4, 2.1, 2.0, 2.1, 2.25 for k = 2..6, so k = 4."""

@@ -7,10 +7,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import exact_classification, exact_scores
+
 import fdcluster.mixtures as mixtures
 from fdcluster.mixtures import (MeanModel, _sq_distances, chosen_sq_distances,
                                 nearest_search)
-from fdcluster.tclust import ClusterFit, TrimSpec, _retain, allocate_all, tclust_step
+from fdcluster.tclust import (ClusterFit, TrimSpec, _retain, allocate_all, tclust_objective,
+                              tclust_step)
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -167,15 +170,13 @@ def step_cases(draw):
 
 
 def _reference_step(U, M, trim, scale):
-    """The step from exact scores of every row: `_sq_distances`, `_retain`,
+    """The step from exact scores of every row (`exact_scores`), `_retain`,
     per-cluster `mean(axis=0)`, and empty clusters reseeded at the
     worst-scoring retained rows."""
     model = MeanModel(M, scale)
-    n, k = U.shape[0], M.shape[0]
-    d2 = _sq_distances(U, M)
-    labels = np.argmin(d2, axis=1)
-    scores = model.log_score_const - d2[np.arange(n), labels] / (2.0 * scale)
-    h = trim.retained_count(n)
+    k = M.shape[0]
+    labels, scores = exact_scores(U, model)
+    h = trim.retained_count(U.shape[0])
     kept = _retain(scores, h)
     kept_labels = labels[kept]
     means = np.empty_like(M)
@@ -208,6 +209,24 @@ def test_step_matches_the_exact_reference(case):
     np.testing.assert_array_equal(kept, ref_kept)
     np.testing.assert_array_equal(kept_labels, ref_labels)
     np.testing.assert_array_equal(model.means[0], means)
+
+
+@settings(max_examples=400, deadline=None)
+@given(step_cases())
+# the cut tie of test_step_matches_the_exact_reference
+@example((np.array([[998.6, 999.2], [998.7, 1000.9], [999.2, 998.6],
+                    [1000.9, 998.7], [1001.4, 1000.8], [1001.6, 1001.7]]),
+          np.array([[1000.0, 1000.0]]), TrimSpec(0.5), 1.0))
+def test_allocation_matches_the_exact_reference(case):
+    U, M, trim, scale = case
+    model = MeanModel(M, scale)
+    labels, trimmed, objective = exact_classification(U, model, trim.retained_count(U.shape[0]))
+    fit = ClusterFit(model, objective=0.0, iterations=0, restart_index=0)
+    got_labels, got_trimmed = allocate_all(U, fit, trim)
+    assert got_labels.dtype == labels.dtype
+    np.testing.assert_array_equal(got_labels, labels)
+    np.testing.assert_array_equal(got_trimmed, trimmed)
+    assert tclust_objective(U, model, trim) == objective
 
 
 @st.composite

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import brute_objective, exhaustive_optimum, reference_lloyd
+from oracles import (brute_objective, exact_classification, exhaustive_optimum,
+                     reference_lloyd)
 
 import fdcluster.tclust as tclust
 from fdcluster.mixtures import MeanModel, chosen_sq_distances, nearest_search
@@ -238,6 +239,23 @@ class TestTrimmedKmeans:
             tracemalloc.stop()
         assert peak < U.nbytes / 4
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.0])
+    def test_allocation_peak_memory_is_a_fraction_of_the_data(self, alpha):
+        # labels and trim flags come from one certified retain, which scores
+        # exactly only the rows near the cut, not every row
+        rng = np.random.default_rng(14)
+        U = rng.normal(size=(20000, 50))
+        U[:10000] += 3.0
+        trim = TrimSpec(alpha)
+        fit = trimmed_kmeans(U, 2, trim, restarts=2, max_iter=5, seed=0)
+        tracemalloc.start()
+        try:
+            allocate_all(U, fit, trim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < U.nbytes / 10
+
     def test_fortran_ordered_input_gives_the_same_fit(self):
         rng = np.random.default_rng(15)
         U = rng.normal(size=(600, 7))
@@ -364,8 +382,9 @@ def _fit_under_cap(case, cap):
 
 def _reference_fit(U, k, trim, restarts, max_iter, seed):
     """The multi-start driver one restart at a time, every restart scored by
-    a full `_classify` of its final means; the winner's labels (remapped to
-    the sorted means) and trim flags are those of that classification."""
+    an exact classification of its final means (`exact_classification`);
+    the winner's labels (remapped to the sorted means) and trim flags are
+    those of that classification."""
     n = U.shape[0]
     h = trim.retained_count(n)
     best = None
@@ -380,7 +399,7 @@ def _reference_fit(U, k, trim, restarts, max_iter, seed):
                     and np.array_equal(labels, last[1])):
                 break
             last = kept, labels
-        labels, trimmed, objective = tclust._classify(U, model, h)
+        labels, trimmed, objective = exact_classification(U, model, h)
         if best is None or objective > best[0]:
             best = (objective, model, labels, trimmed, iterations, r)
     objective, model, labels, trimmed, iterations, r = best
@@ -415,12 +434,12 @@ def _assert_fit_is(fit, reference, U, trim):
 # one cluster, no trimming: every restart ends on the same objective
 @example((np.arange(12.0).reshape(6, 2), 1, TrimSpec(0.0), 5, 4, 2))
 # step 3 repeats step 2 with a cluster empty, and its reseed moves a row that
-# only a full classification of the returned means scores there
+# only a fresh search of the returned means scores there
 @example((np.array([[-1.0], [-1.0], [-5.0], [-5.0], [-9.0], [-5.0], [-2.0], [-5.0]]),
           3, TrimSpec(0.1), 1, 4, 682))
 def test_fit_does_not_depend_on_the_batch_cap(case):
     # and equals the one-restart reference, so a restart scored from its
-    # last step gets the objective a full classification gives it
+    # last step gets the objective an exact classification gives it
     reference = _reference_fit(*case)
     U, _, trim = case[:3]
     for cap in (1, 2, None):
@@ -431,8 +450,8 @@ def test_a_restart_that_repeats_with_an_empty_cluster_is_classified():
     # all three means start at -5; step 2 leaves cluster 3 empty and reseeds
     # it on a row at -5; step 3 repeats step 2's kept rows and labels, cluster
     # 3 empty again, and reseeds it on row 6, which its last step scored
-    # under cluster 2: only a full classification of the returned means
-    # moves row 6 to cluster 3
+    # under cluster 2: only a fresh search of the returned means moves row 6
+    # to cluster 3
     U = np.array([[-1.0], [-1.0], [-5.0], [-5.0], [-9.0], [-5.0], [-2.0], [-5.0]])
     trim = TrimSpec(0.1)
     fit = trimmed_kmeans(U, 3, trim, restarts=1, max_iter=4, seed=682)
