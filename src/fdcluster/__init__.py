@@ -12,9 +12,8 @@ built from; the rest is imported from its module.
 from .basis import (TimeGrid, design_matrix, detrend, make_bspline_system,
                     ols_fit)
 from .mixtures import spherical_log_likelihood
-from .pipeline import (ClusterVolume, ColumnStats, FallbackWarning,
-                       MeanFunctions, RunConfig, TwoStageResult,
-                       VolumeSeries, export_cluster_map,
+from .pipeline import (ClusterVolume, ColumnStats, MeanFunctions, RunConfig,
+                       TwoStageResult, VolumeSeries, export_cluster_map,
                        export_mean_functions, load_labels_civl, load_volume,
                        normalize_columns, render_slice, run_two_stage,
                        save_labels_civl, save_volume_civt)

@@ -69,20 +69,25 @@ def _parse_grid(text: str):
 
 
 def _read_labels(path):
-    """Labels from a bare one-column file or a CSV with a 'label' column."""
+    """Labels from a bare one-column file or a CSV with a 'label' column; a
+    first row whose label is not an integer is a header."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows = [r for r in reader if r]
+        rows = [(reader.line_num, r) for r in reader if r]
     if not rows:
         raise ValueError(f"no labels in {path}")
-    header = [h.strip().lower() for h in rows[0]]
-    if "label" in header:
-        col = header.index("label")
-        return np.array([int(r[col]) for r in rows[1:]], dtype=np.int64)
-    try:
-        return np.array([int(r[0]) for r in rows], dtype=np.int64)
-    except ValueError:
-        return np.array([int(r[0]) for r in rows[1:]], dtype=np.int64)
+    header = [h.strip().lower() for h in rows[0][1]]
+    col = header.index("label") if "label" in header else 0
+    labels = []
+    for line, row in rows:
+        if len(row) <= col:
+            raise ValueError(f"{path}, line {line}: no label in column {col + 1}")
+        try:
+            labels.append(int(row[col]))
+        except ValueError:
+            if line != rows[0][0]:
+                raise
+    return np.array(labels, dtype=np.int64)
 
 
 def _build_run_config(args) -> RunConfig:
@@ -130,18 +135,17 @@ def cmd_fit(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         result = run_two_stage(vol, cfg, jobs=_usable_cpus())
-    except (SlopeEstimationError, ValueError) as exc:
-        trace = getattr(exc, "trace", None)
-        if trace is None:
-            # e.g. a non-finite value found while stage 1 streams the file:
-            # nothing was written, so leave no empty output directory behind
-            if made:
-                out.rmdir()
-            raise
-        trace.write_csv(out / "trace.csv")
+    except SlopeEstimationError as exc:
+        exc.trace.write_csv(out / "trace.csv")
         print(f"model selection failed: {exc}", file=sys.stderr)
         print(f"sweep written to {out / 'trace.csv'}", file=sys.stderr)
-        return 3 if isinstance(exc, SlopeEstimationError) else 2
+        return 3
+    except ValueError:
+        # a refused setting or a non-finite value: nothing was written, so
+        # leave no empty output directory behind
+        if made:
+            out.rmdir()
+        raise
 
     result.trace.write_csv(out / "trace.csv")
     if result.slope is not None:

@@ -26,7 +26,6 @@ import numbers
 import os
 import struct
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,8 @@ import numpy as np
 from .basis import (TimeGrid, coef_values, design_matrix, detrend,
                     make_bspline_system, ols_fit)
 from .mixtures import spherical_log_likelihood
-from .selection import (SelectionTrace, SlopeEstimate, estimate_slope_ddse,
+from .selection import (MIN_WINDOW, SelectionTrace, SlopeEstimate,
+                        SlopeEstimationError, estimate_slope_ddse,
                         penalty_spherical, select_k)
 from .tclust import (ClusterFit, TrimSpec, allocate_all, map_tasks, seed_int,
                      trimmed_kmeans)
@@ -63,10 +63,6 @@ PALETTE = np.array([
     (128, 0, 128), (60, 179, 113), (255, 99, 71), (70, 130, 180),
     (255, 215, 0), (139, 69, 19), (0, 206, 209), (255, 105, 180),
 ], dtype=np.uint8)
-
-
-class FallbackWarning(UserWarning):
-    """A run setting the data cannot support was replaced by a smaller one."""
 
 
 @dataclass
@@ -421,12 +417,11 @@ def render_slice(cv: ClusterVolume, axis: str, index: int, path) -> None:
 # ---------------------------------------------------------------------------
 # orchestration
 
-def _release_rows(series: np.ndarray, row: int, done: int | None) -> int | None:
-    """Drop this process's mapped pages of a file-backed series that hold
-    only rows before `row`, from byte `done` of the mapping on; return the
-    new `done`. `done=None` starts a pass at `row`: nothing is dropped and
-    the page-aligned offset of `row` is returned. In-memory series have
-    nothing to drop.
+def _release_rows(series: np.ndarray, start: int, stop: int) -> None:
+    """Drop this process's mapped pages of a file-backed series from the
+    page where row `start` begins up to, not including, the page where row
+    `stop` begins: pages that hold no row from `stop` on. In-memory series
+    have nothing to drop.
 
     Mapped file pages count towards the resident set (and its peak) until
     unmapped, so a pass over a mapped volume would otherwise end with the
@@ -435,17 +430,15 @@ def _release_rows(series: np.ndarray, row: int, done: int | None) -> int | None:
     """
     mapping = getattr(series, "_mmap", None)     # numpy's mmap of a np.memmap
     if mapping is None or not hasattr(mmap, "MADV_DONTNEED"):
-        return done
+        return
     # np.memmap maps from the allocation boundary below its file offset
-    end = (series.offset % mmap.ALLOCATIONGRANULARITY
-           + row * series.shape[1] * series.itemsize)
-    end -= end % mmap.PAGESIZE
-    if done is None:
-        return end
-    if end <= done:
-        return done
-    mapping.madvise(mmap.MADV_DONTNEED, done, end - done)
-    return end
+    base = series.offset % mmap.ALLOCATIONGRANULARITY
+    row_bytes = series.shape[1] * series.itemsize
+    lo, hi = (base + row * row_bytes for row in (start, stop))
+    lo -= lo % mmap.PAGESIZE
+    hi -= hi % mmap.PAGESIZE
+    if hi > lo:
+        mapping.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
 
 def _filter_rows(shared, rows) -> None:
@@ -454,7 +447,6 @@ def _filter_rows(shared, rows) -> None:
     vol, design, detrended, coefs = shared
     lo, hi = rows
     buffer = np.empty((min(_STAGE1_ROWS, hi - lo), vol.m))
-    released = _release_rows(vol.series, lo, None)
     for start in range(lo, hi, _STAGE1_ROWS):
         stop = min(start + _STAGE1_ROWS, hi)
         block = buffer[:stop - start]
@@ -466,7 +458,7 @@ def _filter_rows(shared, rows) -> None:
         if detrended:
             detrend(block, vol.grid)
         coefs[start:stop] = ols_fit(design, block)
-        released = _release_rows(vol.series, stop, released)
+        _release_rows(vol.series, start, stop)
 
 
 def _stage1_coefficients(vol: VolumeSeries, design, detrended: bool,
@@ -509,8 +501,8 @@ class TwoStageResult:
 
 def _fit_candidate(shared, task):
     """One candidate's fit, its log-likelihood and the seconds they took."""
-    coefs, cfg = shared
-    k, trim, seed = task
+    coefs, cfg, trim = shared
+    k, seed = task
     t0 = time.perf_counter()
     fit = trimmed_kmeans(coefs, k, trim, restarts=cfg.restarts,
                          max_iter=cfg.max_iter, seed=seed, scale=cfg.lam)
@@ -521,59 +513,54 @@ def _fit_candidate(shared, task):
 def run_two_stage(vol: VolumeSeries, cfg: RunConfig, jobs: int = 1) -> TwoStageResult:
     """Filter, sweep cluster counts, select k, and allocate every voxel.
 
-    Candidates above the n voxels, or `jobs` below 1, raise ValueError
-    before any series is read. Stage 1 streams the series in blocks, as
-    row-range tasks on up to `jobs` processes (`_stage1_coefficients`); a
-    non-finite value raises ValueError naming its (lowest) voxel.
+    Settings the volume cannot support raise ValueError before any series
+    is read: `jobs` below 1, a candidate above the h voxels that `alpha`
+    keeps, two or three candidates (the slope needs `MIN_WINDOW`; one
+    candidate is fitted without selection), and normalization of fewer
+    than two series. Every candidate is fitted at `alpha`.
 
-    The candidates are fitted on up to `jobs` processes (`map_tasks`;
-    in a pool, largest k first). Each has its own seed stream, so the result does not
-    depend on `jobs`; a candidate's trace seconds are its own fit's time.
-
-    Degenerate volumes are handled conservatively, with a FallbackWarning
-    each time: the trim level drops to zero whenever the retained count
-    would fall below k, and normalization is skipped when fewer than two
-    series are present.
+    Stage 1 streams the series in blocks, as row-range tasks on up to
+    `jobs` processes (`_stage1_coefficients`); a non-finite value raises
+    ValueError naming its (lowest) voxel. The candidates are fitted on up
+    to `jobs` processes (`map_tasks`; in a pool, largest k first). Each has
+    its own seed stream, so the result does not depend on `jobs`; a
+    candidate's trace seconds are its own fit's time.
 
     Raises SlopeEstimationError (with the completed sweep attached as
     ``exc.trace``) when the loss-penalty slope is nonpositive.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    above = sorted(k for k in cfg.k_set if k > vol.n)
+    n = vol.n
+    trim = TrimSpec(cfg.alpha)
+    h = trim.retained_count(n)
+    above = sorted(k for k in cfg.k_set if k > h)
     if above:
-        raise ValueError(f"candidates {above} exceed the {vol.n} voxels; "
-                         "remove them from the candidate set")
+        raise ValueError(f"candidates {above} exceed the {h} voxels kept of "
+                         f"{n} at alpha={cfg.alpha}; remove them from the "
+                         "candidate set")
+    if 1 < len(cfg.k_set) < MIN_WINDOW:
+        raise ValueError(f"the slope needs at least {MIN_WINDOW} candidates, "
+                         f"got {len(cfg.k_set)}; give more, or one k to fit "
+                         "it without selection")
+    if cfg.normalize and n < 2:
+        raise ValueError("normalization needs at least two series; "
+                         "turn it off to fit a single series")
     system = make_bspline_system((vol.grid.t_lo, vol.grid.t_hi), cfg.d)
     design = design_matrix(system, vol.grid)
     coefs = _stage1_coefficients(vol, design, cfg.detrend, jobs)
-
-    n = coefs.shape[0]
     stats = None
     if cfg.normalize:
-        if n < 2:
-            warnings.warn("fewer than two series: skipping column normalization",
-                          FallbackWarning)
-        else:
-            coefs, stats = normalize_columns(coefs)   # in place: one n x d copy
+        coefs, stats = normalize_columns(coefs)   # in place: one n x d copy
 
     k_seqs = np.random.SeedSequence(cfg.seed).spawn(len(cfg.k_set))
-    tasks = []
-    for k, seq in zip(sorted(cfg.k_set), k_seqs):
-        trim = TrimSpec(cfg.alpha)
-        h = trim.retained_count(n)
-        if h < k:
-            warnings.warn(f"k={k}: alpha={cfg.alpha} keeps {h} of {n} voxels, "
-                          f"fewer than {k} clusters: fitting with alpha=0",
-                          FallbackWarning)
-            trim = TrimSpec(0.0)
-        tasks.append((k, trim, seed_int(seq)))
-    outcomes = map_tasks(_fit_candidate, (coefs, cfg), tasks,
+    tasks = [(k, seed_int(seq)) for k, seq in zip(sorted(cfg.k_set), k_seqs)]
+    outcomes = map_tasks(_fit_candidate, (coefs, cfg, trim), tasks,
                          cost=lambda task: task[0], jobs=jobs)
 
     trace = SelectionTrace(n_points=n)
     fits: dict[int, ClusterFit] = {}
-    for (k, _, _), (fit, loglik, seconds) in zip(tasks, outcomes):
+    for (k, _), (fit, loglik, seconds) in zip(tasks, outcomes):
         trace.add(k, loglik, penalty_spherical(k, cfg.d), seconds)
         fits[k] = fit
 
@@ -583,14 +570,12 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig, jobs: int = 1) -> TwoStageR
     else:
         try:
             slope = estimate_slope_ddse(trace)
-        except Exception as exc:
+        except SlopeEstimationError as exc:
             exc.trace = trace
             raise
         k_hat = select_k(trace, slope.kappa)
 
     fit = fits[k_hat]
-    # at the chosen candidate's own trim level: alpha 0 if it fell back
-    trim = next(t for k, t, _ in tasks if k == k_hat)
     labels, trimmed = allocate_all(coefs, fit, trim)
     cluster_volume = ClusterVolume(dims=vol.dims, labels=labels,
                                    trimmed=trimmed, k=fit.k)

@@ -80,6 +80,9 @@ class SelectionTrace:
             for row in reader:
                 if not row:
                     continue
+                if len(row) < 4:
+                    raise ValueError(f"{path}, line {reader.line_num}: "
+                                     "expected k,loglik,pen,seconds")
                 trace.add(int(row[0]), float(row[1]), float(row[2]), float(row[3]))
         return trace
 
@@ -176,10 +179,14 @@ def estimate_slope_ddse(trace: SelectionTrace) -> SlopeEstimate:
 
 def select_k(trace: SelectionTrace, kappa: float) -> int:
     """k minimizing loss(k) + 2 * kappa * pen(k) over the trace's stored
-    penalty column; ties toward smaller k. kappa must be finite and positive."""
+    penalty column; ties toward smaller k. kappa must be finite and positive;
+    a NaN criterion is refused (an infinite loss is just the worst k)."""
     if not (kappa > 0 and np.isfinite(kappa)):
         raise ValueError(f"kappa must be a positive finite number, got {kappa}")
     if not trace.records:
         raise ValueError("empty trace")
     criterion = trace.loss() + 2.0 * kappa * trace.pens()
+    if np.isnan(criterion).any():
+        bad = np.array(trace.k_values)[np.isnan(criterion)].tolist()
+        raise ValueError(f"the trace's loss or penalty is NaN at k = {bad}")
     return trace.k_values[int(np.argmin(criterion))]

@@ -320,6 +320,8 @@ def run_study(study: str, grid_cells, replicates: int,
         raise ValueError("restarts must be positive")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    if not methods:
+        raise ValueError("no methods given: name at least one of gmm, kmeans, trimmed:<alpha>")
     parsed = []
     for spec in methods:
         method = _parse_method(spec)

@@ -7,7 +7,8 @@ from fdcluster import cli, pipeline, simstudy
 from fdcluster.basis import TimeGrid
 from fdcluster.cli import main
 from fdcluster.pipeline import VolumeSeries, load_labels_civl, save_volume_civt
-from fdcluster.selection import SelectionTrace, penalty_spherical
+from fdcluster.selection import (SelectionTrace, SlopeEstimationError,
+                                 penalty_spherical)
 
 
 @pytest.fixture
@@ -181,6 +182,47 @@ def test_fit_candidates_above_n_are_validation_error(tmp_path, blocked_civt, cap
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("n, argv, message", [
+    (48, ["--alpha", "0.9", "--k-set", "2..6"],
+     "candidates [5, 6] exceed the 4 voxels kept of 48 at alpha=0.9"),
+    (48, ["--k-set", "2..4"], "the slope needs at least 4 candidates, got 3"),
+    (1, ["--k-set", "1"], "normalization needs at least two series"),
+], ids=["k-above-kept", "three-candidates", "normalize-one"])
+def test_fit_setting_the_volume_cannot_support_is_refused_before_stage1(
+        tmp_path, capsys, monkeypatch, n, argv, message):
+    def stage1(*args):
+        raise AssertionError("stage 1 ran")
+
+    monkeypatch.setattr(pipeline, "_stage1_coefficients", stage1)
+    m = 20
+    vol = VolumeSeries(dims=(n, 1, 1),
+                       series=np.random.default_rng(0).standard_normal((n, m)),
+                       grid=TimeGrid.uniform(0.0, 1.0, m))
+    path = tmp_path / "vol.civt"
+    save_volume_civt(vol, path)
+    rc = main(["fit", "--input", str(path), "--format", "civt", "--d", "6",
+               "--restarts", "1", *argv, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_fit_slope_failure_writes_the_sweep_and_exits_3(tmp_path, blocked_civt,
+                                                         capsys, monkeypatch):
+    def unusable(trace):
+        raise SlopeEstimationError("estimated slope 0.000e+00 is unusable")
+
+    monkeypatch.setattr(pipeline, "estimate_slope_ddse", unusable)
+    vol_path, _ = blocked_civt
+    out = tmp_path / "x"
+    rc = main(["fit", "--input", str(vol_path), "--format", "civt", "--d", "6",
+               "--k-set", "2..5", "--restarts", "1", "--out", str(out)])
+    assert rc == 3
+    assert "model selection failed: estimated slope" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
+    assert SelectionTrace.read_csv(out / "trace.csv").k_values == [2, 3, 4, 5]
+
+
 def test_fit_missing_input_is_validation_error(tmp_path):
     rc = main(["fit", "--input", str(tmp_path / "absent.civt"),
                "--format", "civt", "--out", str(tmp_path / "o")])
@@ -282,6 +324,30 @@ def test_malformed_grid_or_k_set_names_the_entry_and_the_form(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+def test_select_refuses_a_short_trace_row_naming_its_line(tmp_path, capsys):
+    # the short row used to end in an IndexError traceback and exit code 1
+    path = tmp_path / "t.csv"
+    path.write_text("k,loglik,pen,seconds\n2,-1,2,0\n3,-1\n")
+    rc = main(["select", "--trace", str(path), "--kappa", "1", "--n", "5"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {path}, line 3: expected k,loglik,pen,seconds\n"
+
+
+def test_select_refuses_a_nan_in_the_trace(tmp_path, capsys):
+    # the NaN row used to be selected: np.argmin returns the first NaN
+    path = tmp_path / "t.csv"
+    path.write_text("k,loglik,pen,seconds\n2,nan,2,0\n3,-5,3,0\n")
+    rc = main(["select", "--trace", str(path), "--kappa", "1", "--n", "5"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "the trace's loss or penalty is NaN at k = [2]" in captured.err
+    # an infinite loss is the worst k, not an error
+    path.write_text("k,loglik,pen,seconds\n2,-inf,2,0\n3,-5,3,0\n")
+    assert main(["select", "--trace", str(path), "--kappa", "1", "--n", "5"]) == 0
+    assert capsys.readouterr().out == "3\n"
+
+
 def test_select_prints_chosen_k(tmp_path, capsys):
     trace = SelectionTrace(n_points=50)
     for k in range(2, 9):
@@ -324,6 +390,17 @@ def test_ari_reads_label_column(tmp_path, capsys):
     rc = main(["ari", "--a", str(a), "--b", str(b)])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "1.000000"
+
+
+def test_ari_refuses_a_short_label_row_naming_its_line(tmp_path, capsys):
+    # the short row used to end in an IndexError traceback and exit code 1
+    a = tmp_path / "l1.csv"
+    b = tmp_path / "l2.csv"
+    a.write_text("x,y,z,label,trimmed\n0,0,0,1,0\n1,0,0\n")
+    b.write_text("1\n2\n")
+    rc = main(["ari", "--a", str(a), "--b", str(b)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {a}, line 3: no label in column 4\n"
 
 
 def test_render_from_civl(tmp_path, blocked_civt):
@@ -408,6 +485,22 @@ def test_simulate_method_spec_it_would_misread_is_refused(tmp_path, capsys, meth
                "--methods", methods, "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_simulate_empty_method_list_is_refused_before_simulating(tmp_path, capsys,
+                                                                 monkeypatch):
+    # it used to simulate every replicate and write a report of one header line
+    def simulate(*args):
+        raise AssertionError("data was simulated")
+
+    monkeypatch.setattr(simstudy, "simulate_study", simulate)
+    out = tmp_path / "report.csv"
+    rc = main(["simulate", "--study", "s1", "--grid", "30x40",
+               "--methods", ",", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: no methods given: name at least one "
+                                       "of gmm, kmeans, trimmed:<alpha>\n")
     assert not out.exists()
 
 

@@ -4,7 +4,6 @@
 import multiprocessing
 import os
 import traceback
-import warnings
 from concurrent.futures import Future
 
 import numpy as np
@@ -14,8 +13,8 @@ from hypothesis import strategies as st
 
 from fdcluster import cli, pipeline, simstudy, tclust
 from fdcluster.basis import TimeGrid
-from fdcluster.pipeline import (FallbackWarning, RunConfig, VolumeSeries,
-                                load_volume, run_two_stage, save_volume_civt)
+from fdcluster.pipeline import (RunConfig, VolumeSeries, load_volume,
+                                run_two_stage, save_volume_civt)
 from fdcluster.selection import SlopeEstimationError
 from fdcluster.simstudy import SimConfig, run_study
 from fdcluster.tclust import map_tasks
@@ -124,14 +123,6 @@ def test_first_failing_item_in_input_order_is_raised(jobs):
     assert multiprocessing.active_children() == []
 
 
-def _run_recording_warnings(vol, cfg, jobs):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = run_two_stage(vol, cfg, jobs=jobs)
-    messages = [str(w.message) for w in caught if w.category is FallbackWarning]
-    return result, messages
-
-
 def _assert_same_fits(a, b):
     assert sorted(a) == sorted(b)
     for k in a:
@@ -143,18 +134,17 @@ def _assert_same_fits(a, b):
         assert fa.restart_index == fb.restart_index
 
 
-def test_two_stage_with_fallbacks_is_identical_for_any_jobs():
-    # alpha 0.5 keeps 6 of the 12 voxels, so k = 7..12 fall back to alpha 0
+def test_two_stage_up_to_the_kept_count_is_identical_for_any_jobs():
+    # alpha 0.5 keeps 6 of the 12 voxels: k = 2..6 is the largest sweep it
+    # allows, and every candidate is fitted at alpha 0.5
     vol, _ = blocked_volume(nx=2, ny=2, nz=3)
-    cfg = RunConfig(d=8, k_set=range(2, 13), alpha=0.5, restarts=2, seed=0)
-    serial, serial_warnings = _run_recording_warnings(vol, cfg, jobs=1)
-    pooled, pooled_warnings = _run_recording_warnings(vol, cfg, jobs=2)
-    expected = [f"k={k}: alpha=0.5 keeps 6 of 12 voxels, fewer than {k} "
-                "clusters: fitting with alpha=0" for k in range(7, 13)]
-    assert serial_warnings == pooled_warnings == expected
+    cfg = RunConfig(d=8, k_set=range(2, 7), alpha=0.5, restarts=2, seed=0)
+    serial = run_two_stage(vol, cfg, jobs=1)
+    pooled = run_two_stage(vol, cfg, jobs=2)
     _assert_same_fits(serial.fits, pooled.fits)
     assert [r[:3] for r in serial.trace.records] == [r[:3] for r in pooled.trace.records]
-    assert serial.trace.k_values == list(range(2, 13))
+    assert serial.trace.k_values == list(range(2, 7))
+    assert int(serial.cluster_volume.trimmed.sum()) == 6
     assert serial.k_hat == pooled.k_hat
     assert serial.slope.kappa == pooled.slope.kappa
     np.testing.assert_array_equal(serial.cluster_volume.labels,
@@ -166,12 +156,15 @@ def test_two_stage_with_fallbacks_is_identical_for_any_jobs():
 
 
 def _sweep(vol, cfg, jobs):
-    """(trace rows without seconds, result or None, the selection's error)."""
+    """(trace rows without seconds or None, result or None, the error)."""
     try:
         result = run_two_stage(vol, cfg, jobs=jobs)
-    except (SlopeEstimationError, ValueError) as exc:
-        # too few candidates, or a nonpositive slope: the sweep is attached
+    except SlopeEstimationError as exc:
+        # a nonpositive slope: the sweep is attached
         return [r[:3] for r in exc.trace.records], None, repr(exc)
+    except ValueError as exc:
+        # a setting refused before stage 1: there is no sweep
+        return None, None, repr(exc)
     return [r[:3] for r in result.trace.records], result, None
 
 
@@ -182,12 +175,15 @@ def test_two_stage_is_identical_for_any_jobs_on_random_k_sets(k_set, alpha, seed
     vol, _ = blocked_volume(nx=3, ny=2, nz=3, m=40)
     cfg = RunConfig(d=6, k_set=tuple(sorted(k_set)), alpha=alpha, restarts=2,
                     seed=seed, lam=0.1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", FallbackWarning)
-        rows_1, serial, error_1 = _sweep(vol, cfg, jobs=1)
-        rows_2, pooled, error_2 = _sweep(vol, cfg, jobs=2)
+    rows_1, serial, error_1 = _sweep(vol, cfg, jobs=1)
+    rows_2, pooled, error_2 = _sweep(vol, cfg, jobs=2)
     assert rows_1 == rows_2
     assert error_1 == error_2
+    # 18 voxels: alpha 0.6 keeps 7, so k = 8 or 9 is refused; so is a set
+    # of two or three candidates
+    refused = (1 < len(k_set) < 4
+               or max(k_set) > tclust.TrimSpec(alpha).retained_count(18))
+    assert (rows_1 is None) == refused
     if serial is not None:
         _assert_same_fits(serial.fits, pooled.fits)
         assert serial.k_hat == pooled.k_hat

@@ -1,5 +1,6 @@
 import itertools
 import mmap
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -12,8 +13,8 @@ from hypothesis.extra import numpy as hnp
 
 from fdcluster import pipeline
 from fdcluster.basis import TimeGrid, design_matrix, make_bspline_system
-from fdcluster.pipeline import (ClusterVolume, FallbackWarning, MeanFunctions,
-                                RunConfig, VolumeSeries, export_cluster_map,
+from fdcluster.pipeline import (ClusterVolume, MeanFunctions, RunConfig,
+                                VolumeSeries, export_cluster_map,
                                 export_mean_functions, load_labels_civl,
                                 load_volume, normalize_columns, render_slice,
                                 run_two_stage, save_labels_civl,
@@ -36,6 +37,12 @@ def blocked_volume(nx=6, ny=5, nz=3, m=80, noise=0.4, seed=3):
     series = curves[labels - 1] + noise * rng.standard_normal((n, m))
     vol = VolumeSeries(dims=(nx, ny, nz), series=series, grid=grid)
     return vol, labels
+
+
+def one_series_volume():
+    grid = TimeGrid.uniform(0.0, 1.0, 30)
+    series = np.sin(2 * np.pi * grid.points)[None, :]
+    return VolumeSeries(dims=(1, 1, 1), series=series, grid=grid)
 
 
 class TestVolumeSeries:
@@ -234,12 +241,42 @@ def test_release_rows_started_mid_file_drops_nothing_before_its_first_row(
     series = load_volume(tmp_path / "v.civt", "civt").series
     log = _AdviceLog()
     monkeypatch.setattr(series, "_mmap", log)
-    done = pipeline._release_rows(series, 5, None)
-    assert done == 5 * page and log.calls == []
-    assert pipeline._release_rows(series, 9, done) == 9 * page
+    pipeline._release_rows(series, 5, 9)
     assert log.calls == [(5 * page, 4 * page)]
-    assert pipeline._release_rows(series, 9, 9 * page) == 9 * page
+    pipeline._release_rows(series, 9, 9)
     assert log.calls == [(5 * page, 4 * page)]
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_DONTNEED"), reason="no madvise")
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 3000), block=st.integers(1, 9),
+       rows=st.lists(st.integers(0, 40), min_size=2, max_size=2, unique=True))
+def test_a_task_releases_the_pages_of_its_rows_once_in_order(m, block, rows):
+    """The blocks of one task drop abutting page ranges, from the page where
+    its first row begins to the page where the row after its last begins."""
+    lo, hi = sorted(rows)
+    n = 40
+    vol = VolumeSeries(dims=(n, 1, 1), series=np.zeros((n, m)),
+                       grid=TimeGrid.uniform(0.0, 1.0, m))
+    design = design_matrix(make_bspline_system((0.0, 1.0), 4), vol.grid)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_volume_civt(vol, Path(tmp) / "v.civt")
+        vol = load_volume(Path(tmp) / "v.civt", "civt")
+        log = _AdviceLog()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vol.series, "_mmap", log)
+            patch.setattr(pipeline, "_STAGE1_ROWS", block)
+            pipeline._filter_rows((vol, design, False, np.empty((n, 4))), (lo, hi))
+        del vol
+
+    def page_of(row):
+        offset = 40 + row * m * 4       # the CIVT header is 40 bytes
+        return offset - offset % mmap.PAGESIZE
+
+    assert all(length > 0 for _, length in log.calls)
+    ends = [page_of(lo)] + [start + length for start, length in log.calls]
+    assert [start for start, _ in log.calls] == ends[:-1]
+    assert ends[-1] == page_of(hi)
 
 
 @settings(max_examples=80, deadline=None)
@@ -531,38 +568,54 @@ class TestRunTwoStage:
                                       b.mean_functions.values)
 
     def test_single_voxel_single_k_smoke(self):
-        grid = TimeGrid.uniform(0.0, 1.0, 30)
-        series = np.sin(2 * np.pi * grid.points)[None, :]
-        vol = VolumeSeries(dims=(1, 1, 1), series=series, grid=grid)
-        cfg = RunConfig(d=6, k_set=(1,), restarts=2, seed=0, alpha=0.5)
-        with pytest.warns(UserWarning):
-            result = run_two_stage(vol, cfg)
+        # one series can be fitted untrimmed and unnormalized, with no warning
+        cfg = RunConfig(d=6, k_set=(1,), restarts=2, seed=0, normalize=False)
+        result = run_two_stage(one_series_volume(), cfg)
         assert result.cluster_volume.labels.tolist() == [1]
-        assert result.slope is None
+        assert result.cluster_volume.trimmed.tolist() == [False]
+        assert result.slope is None and result.stats is None
 
     def test_candidates_above_n_are_refused_before_stage1(self, monkeypatch):
-        # 12 voxels, k up to 16: the candidates above 12 are refused before
-        # any series is read
+        # 12 voxels: alpha 0 keeps all 12, so k up to 12 is fitted and the
+        # candidates above are refused before any series is read; alpha 0.5
+        # keeps 6, so k = 7..12 are refused too
         vol, _ = blocked_volume(nx=2, ny=2, nz=3)
 
         def stage1(*args):
             raise AssertionError("stage 1 ran")
 
-        cfg = RunConfig(d=8, k_set=range(2, 17), alpha=0.5, restarts=2, seed=0)
         with monkeypatch.context() as patch:
             patch.setattr(pipeline, "_stage1_coefficients", stage1)
-            with pytest.raises(ValueError,
-                               match=r"candidates \[13, 14, 15, 16\] exceed the 12 voxels"):
-                run_two_stage(vol, cfg)
-        # up to k = n the fit runs; alpha 0.5 keeps 6 voxels, fewer than
-        # k = 7..12 clusters, so those fall back to alpha 0 with a warning
-        cfg = RunConfig(d=8, k_set=range(2, 13), alpha=0.5, restarts=2, seed=0)
-        with pytest.warns(FallbackWarning) as record:
+            for alpha, kept, above in ((0.0, 12, range(13, 17)),
+                                       (0.5, 6, range(7, 17))):
+                cfg = RunConfig(d=8, k_set=range(2, 17), alpha=alpha,
+                                restarts=2, seed=0)
+                with pytest.raises(ValueError, match=re.escape(
+                        f"candidates {list(above)} exceed the {kept} voxels "
+                        f"kept of 12 at alpha={alpha}")):
+                    run_two_stage(vol, cfg)
+        for alpha, k_max in ((0.0, 12), (0.5, 6)):
+            cfg = RunConfig(d=8, k_set=range(2, k_max + 1), alpha=alpha,
+                            restarts=2, seed=0)
             result = run_two_stage(vol, cfg)
-        messages = [str(w.message) for w in record if w.category is FallbackWarning]
-        assert messages == [f"k={k}: alpha=0.5 keeps 6 of 12 voxels, fewer than "
-                            f"{k} clusters: fitting with alpha=0" for k in range(7, 13)]
-        assert result.trace.k_values == list(range(2, 13))
+            assert result.trace.k_values == list(range(2, k_max + 1))
+            assert int(result.cluster_volume.trimmed.sum()) == 12 - k_max
+
+    @pytest.mark.parametrize("n, settings, message", [
+        (12, dict(k_set=(2, 3, 4)),
+         "the slope needs at least 4 candidates, got 3"),
+        (12, dict(k_set=(2, 5)), "the slope needs at least 4 candidates, got 2"),
+        (1, dict(k_set=(1,)), "normalization needs at least two series"),
+    ], ids=["three-candidates", "two-candidates", "normalize-one"])
+    def test_settings_the_volume_cannot_support_are_refused_before_stage1(
+            self, monkeypatch, n, settings, message):
+        def stage1(*args):
+            raise AssertionError("stage 1 ran")
+
+        monkeypatch.setattr(pipeline, "_stage1_coefficients", stage1)
+        vol = one_series_volume() if n == 1 else blocked_volume(nx=2, ny=2, nz=3)[0]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_two_stage(vol, RunConfig(d=8, restarts=2, seed=0, **settings))
 
     def test_normalization_neutrality_for_mean_curves(self):
         # de-normalized cluster means reconstruct the same curves as the

@@ -162,6 +162,13 @@ class TestSelectK:
         with pytest.raises(ValueError):
             select_k(make_trace([2, 3], [1.0, 0.5]), 0.0)
 
+    def test_nan_criterion_is_refused_and_an_infinite_loss_is_the_worst_k(self):
+        # np.argmin would return the first NaN
+        with pytest.raises(ValueError, match=r"NaN at k = \[2, 4\]"):
+            select_k(make_trace([2, 3, 4], [np.nan, 0.5, np.nan]), 0.01)
+        assert select_k(make_trace([2, 3, 4], [np.inf, 0.9, 0.5]), 0.01) == 4
+        assert select_k(make_trace([2, 3], [0.5, np.inf]), 0.01) == 2
+
 
 class TestTraceCsv:
     def test_round_trip(self, tmp_path):
