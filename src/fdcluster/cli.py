@@ -86,7 +86,8 @@ def _read_labels(path):
             labels.append(int(row[col]))
         except ValueError:
             if line != rows[0][0]:
-                raise
+                raise ValueError(f"{path}, line {line}: label {row[col]!r} "
+                                 "is not an integer") from None
     return np.array(labels, dtype=np.int64)
 
 

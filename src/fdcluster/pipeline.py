@@ -36,7 +36,7 @@ from .mixtures import spherical_log_likelihood
 from .selection import (MIN_WINDOW, SelectionTrace, SlopeEstimate,
                         SlopeEstimationError, estimate_slope_ddse,
                         penalty_spherical, select_k)
-from .tclust import (ClusterFit, TrimSpec, allocate_all, map_tasks, seed_int,
+from .tclust import (ClusterFit, TaskPool, TrimSpec, allocate_all, seed_int,
                      trimmed_kmeans)
 
 _CIVT_MAGIC = b"CIVT"
@@ -443,8 +443,10 @@ def _release_rows(series: np.ndarray, start: int, stop: int) -> None:
 
 def _filter_rows(shared, rows) -> None:
     """Filter rows [lo, hi) into `coefs` in place, one block at a time
-    through one float64 buffer, and release the mapped pages this task read."""
-    vol, design, detrended, coefs = shared
+    through one float64 buffer, and release the mapped pages this task read.
+    `detrend` and `ols_fit` are looked up in this module's globals on every
+    block."""
+    vol, design, cfg, coefs = shared
     lo, hi = rows
     buffer = np.empty((min(_STAGE1_ROWS, hi - lo), vol.m))
     for start in range(lo, hi, _STAGE1_ROWS):
@@ -455,35 +457,24 @@ def _filter_rows(shared, rows) -> None:
         if not finite.all():
             voxel = start + int(np.argmin(finite))
             raise ValueError(f"volume contains non-finite values (voxel {voxel})")
-        if detrended:
+        if cfg.detrend:
             detrend(block, vol.grid)
         coefs[start:stop] = ols_fit(design, block)
         _release_rows(vol.series, start, stop)
 
 
-def _stage1_coefficients(vol: VolumeSeries, design, detrended: bool,
-                         jobs: int = 1) -> np.ndarray:
-    """Raw n x d coefficients, filtered in blocks of `_STAGE1_ROWS` voxels.
+def _stage1_tasks(n: int, m: int) -> list:
+    """Row ranges of whole `_STAGE1_ROWS` blocks, about `_STAGE1_TASK_VALUES`
+    series values each (at least one block)."""
+    step = _STAGE1_ROWS * max(1, _STAGE1_TASK_VALUES // (_STAGE1_ROWS * m))
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
-    Each block is converted into its task's one float64 buffer, checked to
-    be finite, detrended in place when asked and projected. `detrend` and
-    `ols_fit` are looked up in this module's globals on every block.
 
-    The rows are split into tasks of whole blocks, about
-    `_STAGE1_TASK_VALUES` series values each, run on up to `jobs`
-    processes (`map_tasks`). The tasks write into one anonymous shared
-    mapping, so no row is pickled and this process reads no series when the
-    tasks run in workers. A non-finite value raises ValueError naming the
-    lowest such voxel, whatever `jobs` is.
-    """
-    n, d = vol.n, design.d
-    # MAP_SHARED (mmap's default), so rows written by a forked worker land here
-    coefs = np.frombuffer(mmap.mmap(-1, n * d * 8), dtype=float).reshape(n, d)
-    step = _STAGE1_ROWS * max(1, _STAGE1_TASK_VALUES // (_STAGE1_ROWS * vol.m))
-    tasks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-    map_tasks(_filter_rows, (vol, design, detrended, coefs), tasks,
-              cost=lambda rows: rows[1] - rows[0], jobs=jobs)
-    return coefs
+def _shared_rows(n: int, d: int) -> np.ndarray:
+    """An n x d float64 matrix in an anonymous mapping, shared (mmap's
+    default MAP_SHARED) with every process forked after it is made, so rows
+    written by a worker, and changes made here, reach every process."""
+    return np.frombuffer(mmap.mmap(-1, n * d * 8), dtype=float).reshape(n, d)
 
 
 @dataclass
@@ -501,10 +492,10 @@ class TwoStageResult:
 
 def _fit_candidate(shared, task):
     """One candidate's fit, its log-likelihood and the seconds they took."""
-    coefs, cfg, trim = shared
+    _, _, cfg, coefs = shared
     k, seed = task
     t0 = time.perf_counter()
-    fit = trimmed_kmeans(coefs, k, trim, restarts=cfg.restarts,
+    fit = trimmed_kmeans(coefs, k, TrimSpec(cfg.alpha), restarts=cfg.restarts,
                          max_iter=cfg.max_iter, seed=seed, scale=cfg.lam)
     loglik = spherical_log_likelihood(coefs, fit.model)
     return fit, loglik, time.perf_counter() - t0
@@ -519,11 +510,16 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig, jobs: int = 1) -> TwoStageR
     candidate is fitted without selection), and normalization of fewer
     than two series. Every candidate is fitted at `alpha`.
 
-    Stage 1 streams the series in blocks, as row-range tasks on up to
-    `jobs` processes (`_stage1_coefficients`); a non-finite value raises
-    ValueError naming its (lowest) voxel. The candidates are fitted on up
-    to `jobs` processes (`map_tasks`; in a pool, largest k first). Each has
-    its own seed stream, so the result does not depend on `jobs`; a
+    Stage 1 filters the series in blocks of `_STAGE1_ROWS` voxels, as
+    row-range tasks of about `_STAGE1_TASK_VALUES` values (`_filter_rows`)
+    that write into one shared mapping (`_shared_rows`); a non-finite value
+    raises ValueError naming its (lowest) voxel, before any candidate
+    starts. Normalization then z-scores that mapping in place, here. The
+    candidates are fitted largest k first. Both run on one `TaskPool` of
+    up to `jobs` processes, forked once, at the first of them with more
+    than one task: a stage 1 of one task runs here, and its candidates
+    then fork the workers. Each candidate has its own seed stream, so the
+    result does not depend on `jobs` or on the block and task sizes; a
     candidate's trace seconds are its own fit's time.
 
     Raises SlopeEstimationError (with the completed sweep attached as
@@ -548,15 +544,17 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig, jobs: int = 1) -> TwoStageR
                          "turn it off to fit a single series")
     system = make_bspline_system((vol.grid.t_lo, vol.grid.t_hi), cfg.d)
     design = design_matrix(system, vol.grid)
-    coefs = _stage1_coefficients(vol, design, cfg.detrend, jobs)
-    stats = None
-    if cfg.normalize:
-        coefs, stats = normalize_columns(coefs)   # in place: one n x d copy
-
+    coefs = _shared_rows(n, cfg.d)
+    stage1 = _stage1_tasks(n, vol.m)
     k_seqs = np.random.SeedSequence(cfg.seed).spawn(len(cfg.k_set))
     tasks = [(k, seed_int(seq)) for k, seq in zip(sorted(cfg.k_set), k_seqs)]
-    outcomes = map_tasks(_fit_candidate, (coefs, cfg, trim), tasks,
-                         cost=lambda task: task[0], jobs=jobs)
+    stats = None
+    with TaskPool((vol, design, cfg, coefs), min(jobs, max(len(stage1), len(tasks)))) as pool:
+        pool.map(_filter_rows, stage1, cost=lambda rows: rows[1] - rows[0])
+        if cfg.normalize:
+            # in place, so the workers read the normalized values
+            _, stats = normalize_columns(coefs)
+        outcomes = pool.map(_fit_candidate, tasks, cost=lambda task: task[0])
 
     trace = SelectionTrace(n_points=n)
     fits: dict[int, ClusterFit] = {}

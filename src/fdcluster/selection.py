@@ -9,6 +9,7 @@ the selection rule: pick the k minimizing loss(k) + 2 * kappa * pen(k).
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -46,8 +47,12 @@ class SelectionTrace:
             raise ValueError(f"n_points must be None or an integer >= 1, got {n!r}")
 
     def add(self, k: int, loglik: float, pen: float, seconds: float = 0.0):
+        """Append one record; refuses a k out of order and a NaN loglik or
+        penalty (an infinite loglik is a worst or best k, not an error)."""
         if self.records and k <= self.records[-1][0]:
             raise ValueError("k values must be strictly increasing")
+        if math.isnan(loglik) or math.isnan(pen):
+            raise ValueError(f"the trace's loss or penalty is NaN at k = [{int(k)}]")
         self.records.append((int(k), float(loglik), float(pen), float(seconds)))
 
     @property
@@ -83,7 +88,10 @@ class SelectionTrace:
                 if len(row) < 4:
                     raise ValueError(f"{path}, line {reader.line_num}: "
                                      "expected k,loglik,pen,seconds")
-                trace.add(int(row[0]), float(row[1]), float(row[2]), float(row[3]))
+                try:
+                    trace.add(int(row[0]), float(row[1]), float(row[2]), float(row[3]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
         return trace
 
 

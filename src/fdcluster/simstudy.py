@@ -21,7 +21,7 @@ from .basis import (TimeGrid, coef_values, design_matrix, make_bspline_system,
                     ols_fit)
 from .mixtures import (GmmParams, bayes_allocate, component_log_densities,
                        row_logsumexp)
-from .tclust import TrimSpec, allocate_all, map_tasks, seed_int, trimmed_kmeans
+from .tclust import TaskPool, TrimSpec, allocate_all, seed_int, trimmed_kmeans
 
 DEFAULT_METHODS = ("gmm", "kmeans", "trimmed:0.25", "trimmed:0.5")
 
@@ -309,7 +309,7 @@ def run_study(study: str, grid_cells, replicates: int,
     against the true labels. Per-(cell, replicate, method) RNG streams are split from
     the master seed, so results do not depend on execution order.
 
-    The (cell, replicate) pairs run on up to `jobs` processes (`map_tasks`;
+    The (cell, replicate) pairs run on up to `jobs` processes (`TaskPool`;
     in a pool, largest cells first); a row's seconds are the sum of its method's own
     times over the replicates. Bad settings raise ValueError before any
     data is simulated.
@@ -344,8 +344,9 @@ def run_study(study: str, grid_cells, replicates: int,
     tasks = [(cfg, rep_seq)
              for cfg, cell_seq in zip(configs, root.spawn(len(cells)))
              for rep_seq in cell_seq.spawn(replicates)]
-    outcomes = map_tasks(_score_replicate, (parsed, restarts), tasks,
-                         cost=lambda task: (task[0].n, task[0].m), jobs=jobs)
+    with TaskPool((parsed, restarts), min(jobs, len(tasks))) as pool:
+        outcomes = pool.map(_score_replicate, tasks,
+                            cost=lambda task: (task[0].n, task[0].m))
 
     report = StudyReport()
     for c, (m, n) in enumerate(cells):

@@ -10,7 +10,6 @@ restart with the largest objective.
 
 from __future__ import annotations
 
-import functools
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +20,18 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .basis import coef_values
-from .mixtures import _CHUNK, MeanModel, chosen_sq_distances, nearest_search
+from .mixtures import MeanModel, chosen_sq_distances, nearest_search
+
+# A fit's restarts step together in batches whose per-restart state fits in
+# `_BATCH_BYTES`. A restart holds `_BYTES_PER_ROW` bytes per row of U (the
+# nearest-mean labels and estimates, the estimates' partition copy, the
+# retain masks) and `_BYTES_PER_KEPT` per kept row (this step's and the last
+# step's kept rows and clusters, the recenter's sort keys and one-hot
+# entries): upper bounds on `tracemalloc` peaks over trim levels. At the
+# paper's n (1.8M rows, alpha 0.9) a batch holds 8 restarts.
+_BATCH_BYTES = 1 << 29
+_BYTES_PER_ROW = 28
+_BYTES_PER_KEPT = 64
 
 
 @dataclass(frozen=True)
@@ -215,46 +225,68 @@ def seed_int(seq: np.random.SeedSequence) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-# in a forked pool worker: its task with the shared argument bound (set once,
-# when the worker starts; None in any other process)
-_worker_task = None
+# in a forked pool worker: the pool's shared argument (set once, when the
+# worker starts; None in any other process)
+_worker_shared = None
 
 
-def _start_worker(task, shared):
-    global _worker_task
-    _worker_task = functools.partial(task, shared)
+def _start_worker(shared):
+    global _worker_shared
+    _worker_shared = shared
 
 
-def _run_in_worker(item):
-    return _worker_task(item)
+def _run_in_worker(task, item):
+    return task(_worker_shared, item)
 
 
-def map_tasks(task, shared, items, cost, jobs: int = 1) -> list:
-    """[task(shared, item) for item in items], run on up to `jobs` processes.
+class TaskPool:
+    """Runs lists of tasks `task(shared, item)` on up to `jobs` processes.
 
-    With one worker the items run here, in input order. Otherwise they go
-    costliest first (largest `cost(item)`, ties in input order) to
-    min(jobs, len(items)) workers forked from this process; `shared`
-    reaches them through fork copy-on-write, not by pickle, so a large
-    array in it is neither copied nor serialized, while each item and
-    result is pickled. Either way the exception raised is that of the
-    first failing item in input order (from a worker, chained to its
-    traceback); items not yet started are then dropped, and the workers
-    are joined before this returns or raises.
+    A `map` of one item, or any `map` with `jobs` at 1, runs here, in input
+    order. The first `map` of more items forks `jobs` workers (so callers
+    pass no more than their largest `map` can use), which then serve every
+    later `map`: its items go costliest first (largest `cost(item)`, ties
+    in input order). `shared` reaches the workers through fork
+    copy-on-write, not by pickle, so a large array in it is neither copied
+    nor serialized; a change made to it after the fork reaches them only
+    where it lies in a shared mapping (an anonymous ``mmap``). Each task,
+    item and result is pickled.
+
+    Either way `map` returns the results in input order and raises the
+    exception of the first failing item in input order (from a worker,
+    chained to its traceback); that map's items not yet started are then
+    dropped. Leaving the ``with`` block joins the workers, whether it
+    returns or raises.
     """
-    items = list(items)
-    workers = min(jobs, len(items))
-    if workers <= 1:
-        return [task(shared, item) for item in items]
-    order = sorted(range(len(items)), key=lambda i: cost(items[i]), reverse=True)
-    # fork, not spawn: a spawned worker would need `shared` pickled
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               _start_worker, (task, shared))
-    try:
-        futures = {i: pool.submit(_run_in_worker, items[i]) for i in order}
-        return [futures[i].result() for i in range(len(items))]
-    finally:
-        pool.shutdown(cancel_futures=True)
+
+    def __init__(self, shared, jobs: int = 1):
+        self.shared = shared
+        self.jobs = jobs
+        self._executor = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+
+    def map(self, task, items, cost) -> list:
+        """[task(shared, item) for item in items]."""
+        items = list(items)
+        if min(self.jobs, len(items)) <= 1:
+            return [task(self.shared, item) for item in items]
+        if self._executor is None:
+            # fork, not spawn: a spawned worker would need `shared` pickled
+            self._executor = ProcessPoolExecutor(
+                self.jobs, multiprocessing.get_context("fork"), _start_worker, (self.shared,))
+        order = sorted(range(len(items)), key=lambda i: cost(items[i]), reverse=True)
+        futures = {i: self._executor.submit(_run_in_worker, task, items[i]) for i in order}
+        try:
+            return [futures[i].result() for i in range(len(items))]
+        finally:
+            for future in futures.values():
+                future.cancel()
 
 
 def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,
@@ -269,8 +301,9 @@ def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,
     wins (the first in restart order among equals); its means are returned
     in lexicographic order.
 
-    Up to floor(_CHUNK / n) restarts step together as one batch (one at a
-    time once n > _CHUNK); a restart leaves the batch when it stops and the
+    Restarts step together in batches of as many as `_BATCH_BYTES` holds
+    at `_BYTES_PER_ROW` bytes per row and `_BYTES_PER_KEPT` per kept row
+    each (at least one); a restart leaves the batch when it stops and the
     next one takes its place. Batching changes no restart's result.
 
     A restart's objective sums its kept rows' exact scores in row order.
@@ -294,7 +327,7 @@ def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
 
-    cap = max(1, _CHUNK // n)
+    cap = max(1, _BATCH_BYTES // (_BYTES_PER_ROW * n + _BYTES_PER_KEPT * h))
     u_sq = np.einsum("ij,ij->i", U, U)
 
     # the batch: restart indices, their means, steps taken and the last

@@ -115,7 +115,7 @@ def test_fit_negative_seed_is_rejected_before_stage1(tmp_path, blocked_civt, cap
     def stage1(*args):
         raise AssertionError("stage 1 ran")
 
-    monkeypatch.setattr(pipeline, "_stage1_coefficients", stage1)
+    monkeypatch.setattr(pipeline, "_filter_rows", stage1)
     vol_path, _ = blocked_civt
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"d": 10, "k_set": [3], "restarts": 2, **config}))
@@ -193,7 +193,7 @@ def test_fit_setting_the_volume_cannot_support_is_refused_before_stage1(
     def stage1(*args):
         raise AssertionError("stage 1 ran")
 
-    monkeypatch.setattr(pipeline, "_stage1_coefficients", stage1)
+    monkeypatch.setattr(pipeline, "_filter_rows", stage1)
     m = 20
     vol = VolumeSeries(dims=(n, 1, 1),
                        series=np.random.default_rng(0).standard_normal((n, m)),
@@ -333,6 +333,28 @@ def test_select_refuses_a_short_trace_row_naming_its_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}, line 3: expected k,loglik,pen,seconds\n"
 
 
+def test_select_refuses_a_value_that_does_not_parse_naming_its_line(tmp_path, capsys):
+    # used to print only "could not convert string to float: 'abc'"
+    path = tmp_path / "t.csv"
+    path.write_text("k,loglik,pen,seconds\n2,-1,2,0\n3,abc,3,0\n")
+    rc = main(["select", "--trace", str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}, line 3: could not convert string to float: 'abc'\n")
+
+
+def test_select_refuses_a_nan_in_the_slope_window_naming_its_line(tmp_path, capsys):
+    # without --kappa the NaN reached the slope, which exited 3 with
+    # "estimated slope nan is unusable; extend the candidate set"
+    path = tmp_path / "t.csv"
+    path.write_text("k,loglik,pen,seconds\n2,9,2,0\n3,8,3,0\n4,7,4,0\n"
+                    "5,nan,5,0\n6,5,6,0\n")
+    rc = main(["select", "--trace", str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}, line 5: the trace's loss or penalty is NaN at k = [5]\n")
+
+
 def test_select_refuses_a_nan_in_the_trace(tmp_path, capsys):
     # the NaN row used to be selected: np.argmin returns the first NaN
     path = tmp_path / "t.csv"
@@ -401,6 +423,15 @@ def test_ari_refuses_a_short_label_row_naming_its_line(tmp_path, capsys):
     rc = main(["ari", "--a", str(a), "--b", str(b)])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {a}, line 3: no label in column 4\n"
+
+
+def test_ari_refuses_a_label_that_is_not_an_integer_naming_its_line(tmp_path, capsys):
+    # used to print only "invalid literal for int() with base 10: 'x'"
+    a = tmp_path / "l1.csv"
+    a.write_text("label\n1\nx\n")
+    rc = main(["ari", "--a", str(a), "--b", str(a)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {a}, line 3: label 'x' is not an integer\n"
 
 
 def test_render_from_civl(tmp_path, blocked_civt):

@@ -1,6 +1,7 @@
 """Module layout of the package: imports sit at module level, every imported
-name is used, the intra-package import graph has no cycle, and every function
-the benchmark's tracer wraps is where it looks for it."""
+name is used, the intra-package import graph has no cycle, every function
+the benchmark's tracer wraps is where it looks for it, and one function
+starts worker processes."""
 
 import ast
 import importlib
@@ -147,3 +148,44 @@ def test_every_traced_function_resolves():
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
 
+
+
+def _functions_calling(tree, name):
+    """Qualified names of the functions whose own bodies call `name`
+    (as a bare name or an attribute); a call at module level counts as
+    '<module>'."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+                visit(child, inner)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    found.add(scope)
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_function_forks_worker_processes():
+    # a run forks its workers once, in the pool; a second construction site
+    # would bring back a pool per phase
+    sites = {f"{module}.{scope}" for module, tree in MODULES.items()
+             for scope in _functions_calling(tree, "ProcessPoolExecutor")}
+    assert sites == {"tclust.TaskPool.map"}
+
+
+def test_call_site_finder():
+    tree = ast.parse("import concurrent.futures as cf\n"
+                     "class P:\n    def go(self):\n        def inner():\n"
+                     "            return cf.ProcessPoolExecutor(2)\n"
+                     "        return ProcessPoolExecutor(1)\n"
+                     "ProcessPoolExecutor(3)\n")
+    assert _functions_calling(tree, "ProcessPoolExecutor") == {
+        "P.go", "P.go.inner", "<module>"}

@@ -19,6 +19,7 @@ from fdcluster.pipeline import (ClusterVolume, MeanFunctions, RunConfig,
                                 load_volume, normalize_columns, render_slice,
                                 run_two_stage, save_labels_civl,
                                 save_volume_civt)
+from fdcluster.tclust import TaskPool
 
 
 def blocked_volume(nx=6, ny=5, nz=3, m=80, noise=0.4, seed=3):
@@ -266,7 +267,8 @@ def test_a_task_releases_the_pages_of_its_rows_once_in_order(m, block, rows):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(vol.series, "_mmap", log)
             patch.setattr(pipeline, "_STAGE1_ROWS", block)
-            pipeline._filter_rows((vol, design, False, np.empty((n, 4))), (lo, hi))
+            pipeline._filter_rows((vol, design, RunConfig(d=4, detrend=False),
+                                   np.empty((n, 4))), (lo, hi))
         del vol
 
     def page_of(row):
@@ -277,6 +279,17 @@ def test_a_task_releases_the_pages_of_its_rows_once_in_order(m, block, rows):
     ends = [page_of(lo)] + [start + length for start, length in log.calls]
     assert [start for start, _ in log.calls] == ends[:-1]
     assert ends[-1] == page_of(hi)
+
+
+def stage1_coefficients(vol, design, detrended, jobs):
+    """Stage 1 as `run_two_stage` runs it: the row-range tasks of
+    `_filter_rows` on a `TaskPool`, writing into a `_shared_rows` matrix."""
+    coefs = pipeline._shared_rows(vol.n, design.d)
+    cfg = RunConfig(d=design.d, detrend=detrended)
+    with TaskPool((vol, design, cfg, coefs), jobs) as pool:
+        pool.map(pipeline._filter_rows, pipeline._stage1_tasks(vol.n, vol.m),
+                 cost=lambda rows: rows[1] - rows[0])
+    return coefs
 
 
 @settings(max_examples=80, deadline=None)
@@ -306,8 +319,7 @@ def test_stage1_coefficients_do_not_depend_on_the_block_size(n, m, d, detrended,
                 mp.setattr(pipeline, "_STAGE1_ROWS", rows)
                 mp.setattr(pipeline, "_STAGE1_TASK_VALUES", values)
                 for source in (vol, mapped):
-                    results.append(pipeline._stage1_coefficients(
-                        source, design, detrended, jobs))
+                    results.append(stage1_coefficients(source, design, detrended, jobs))
         del mapped
     for coefs in results[1:]:
         np.testing.assert_array_equal(coefs, results[0])
@@ -585,7 +597,7 @@ class TestRunTwoStage:
             raise AssertionError("stage 1 ran")
 
         with monkeypatch.context() as patch:
-            patch.setattr(pipeline, "_stage1_coefficients", stage1)
+            patch.setattr(pipeline, "_filter_rows", stage1)
             for alpha, kept, above in ((0.0, 12, range(13, 17)),
                                        (0.5, 6, range(7, 17))):
                 cfg = RunConfig(d=8, k_set=range(2, 17), alpha=alpha,
@@ -612,7 +624,7 @@ class TestRunTwoStage:
         def stage1(*args):
             raise AssertionError("stage 1 ran")
 
-        monkeypatch.setattr(pipeline, "_stage1_coefficients", stage1)
+        monkeypatch.setattr(pipeline, "_filter_rows", stage1)
         vol = one_series_volume() if n == 1 else blocked_volume(nx=2, ny=2, nz=3)[0]
         with pytest.raises(ValueError, match=re.escape(message)):
             run_two_stage(vol, RunConfig(d=8, restarts=2, seed=0, **settings))

@@ -163,14 +163,26 @@ class TestSelectK:
             select_k(make_trace([2, 3], [1.0, 0.5]), 0.0)
 
     def test_nan_criterion_is_refused_and_an_infinite_loss_is_the_worst_k(self):
-        # np.argmin would return the first NaN
+        # np.argmin would return the first NaN; `add` refuses the first NaN
+        # row, so records set directly reach the check in select_k
+        with pytest.raises(ValueError, match=r"NaN at k = \[2\]"):
+            make_trace([2, 3, 4], [np.nan, 0.5, np.nan])
+        records = [(k, -loss, penalty_spherical(k, 10), 0.0)
+                   for k, loss in zip([2, 3, 4], [np.nan, 0.5, np.nan])]
         with pytest.raises(ValueError, match=r"NaN at k = \[2, 4\]"):
-            select_k(make_trace([2, 3, 4], [np.nan, 0.5, np.nan]), 0.01)
+            select_k(SelectionTrace(records=records, n_points=1), 0.01)
         assert select_k(make_trace([2, 3, 4], [np.inf, 0.9, 0.5]), 0.01) == 4
         assert select_k(make_trace([2, 3], [0.5, np.inf]), 0.01) == 2
 
 
 class TestTraceCsv:
+    @pytest.mark.parametrize("loglik, pen", [(np.nan, 30.0), (-5.0, np.nan)])
+    def test_add_refuses_a_nan_naming_its_k(self, loglik, pen):
+        trace = make_trace([2], [1.0])
+        with pytest.raises(ValueError, match=r"NaN at k = \[3\]"):
+            trace.add(3, loglik, pen)
+        assert trace.k_values == [2]
+
     def test_round_trip(self, tmp_path):
         trace = SelectionTrace(n_points=500)
         for k in range(2, 7):

@@ -225,12 +225,14 @@ class TestTrimmedKmeans:
         nearest = np.argmin(d2, axis=1) + 1
         np.testing.assert_array_equal(labels[~trimmed], nearest[~trimmed])
 
-    def test_peak_memory_is_a_fraction_of_the_data(self):
+    def test_peak_memory_is_a_fraction_of_the_data(self, monkeypatch):
         # the recenter sums each cluster's rows in place (no gather of its
-        # rows), and every other temporary is per row or per block of rows
+        # rows), and every other temporary is per row or per block of rows;
+        # one restart at a time (the batch's own peak is tested below)
         rng = np.random.default_rng(14)
         U = rng.normal(size=(20000, 50))
         U[:10000] += 3.0
+        monkeypatch.setattr(tclust, "_BATCH_BYTES", _restart_bytes(U, TrimSpec(0.1)))
         tracemalloc.start()
         try:
             trimmed_kmeans(U, 2, TrimSpec(0.1), restarts=2, max_iter=5, seed=0)
@@ -269,11 +271,13 @@ class TestTrimmedKmeans:
         np.testing.assert_array_equal(f.model.means, c.model.means)
         assert f.objective == c.objective
 
-    def test_peak_memory_does_not_grow_with_restarts(self):
-        # a batch holds at most floor(_CHUNK / n) restarts, and a restart
-        # that leaves it keeps nothing but the best fit so far
+    def test_peak_memory_does_not_grow_with_restarts(self, monkeypatch):
+        # a batch holds at most the restarts its byte budget allows (here
+        # 32), and a restart that leaves it keeps nothing but the best fit
+        # so far
         rng = np.random.default_rng(16)
         U = rng.normal(size=(1000, 10)) + rng.integers(0, 5, 1000)[:, None] * 3.0
+        monkeypatch.setattr(tclust, "_BATCH_BYTES", 32 * _restart_bytes(U, TrimSpec(0.1)))
         trimmed_kmeans(U, 5, TrimSpec(0.1), restarts=2, seed=0)
         peaks = []
         for restarts in (32, 100):
@@ -284,6 +288,24 @@ class TestTrimmedKmeans:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.01 * peaks[0]
+
+    @pytest.mark.parametrize("alpha", [0.9, 0.5, 0.0])
+    def test_a_full_batch_peaks_within_its_budget(self, monkeypatch, alpha):
+        # a budget worth 6 restarts at n = 200000: the batch's peak stays
+        # within it, besides the rows' squared norms and a few blocks of
+        # scores, and (so the batch is full) above half of it
+        rng = np.random.default_rng(18)
+        n = 200_000
+        U = rng.normal(size=(n, 4)) + rng.integers(0, 8, n)[:, None] * 1.5
+        budget = 6 * _restart_bytes(U, TrimSpec(alpha))
+        monkeypatch.setattr(tclust, "_BATCH_BYTES", budget)
+        tracemalloc.start()
+        try:
+            trimmed_kmeans(U, 3, TrimSpec(alpha), restarts=6, max_iter=2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert budget / 2 < peak <= budget + 8 * n + 2 ** 22
 
     def test_max_iter_below_one_rejected(self):
         U = np.random.default_rng(17).normal(size=(10, 2))
@@ -371,12 +393,18 @@ def fit_cases(draw):
             draw(st.integers(0, 2 ** 16)))
 
 
+def _restart_bytes(U, trim):
+    """The bytes `trimmed_kmeans` counts for one restart of a batch on U."""
+    n = U.shape[0]
+    return tclust._BYTES_PER_ROW * n + tclust._BYTES_PER_KEPT * trim.retained_count(n)
+
+
 def _fit_under_cap(case, cap):
     """trimmed_kmeans with at most `cap` restarts per batch (None: no cap)."""
     U, k, trim, restarts, max_iter, seed = case
-    chunk = 1 << 62 if cap is None else cap * U.shape[0]
+    budget = 1 << 62 if cap is None else cap * _restart_bytes(U, trim)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tclust, "_CHUNK", chunk)
+        mp.setattr(tclust, "_BATCH_BYTES", budget)
         return trimmed_kmeans(U, k, trim, restarts=restarts, max_iter=max_iter, seed=seed)
 
 
