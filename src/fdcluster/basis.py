@@ -2,9 +2,11 @@
 
 Stage 1 of the pipeline: every observed series is projected onto a shared
 clamped cubic B-spline basis by ordinary least squares, reducing each
-length-m series to a d-dimensional coefficient vector. The basis is
-evaluated with the Cox-de Boor recursion; the Gram matrix of the shared
-design is factorized once and reused across all series.
+length-m series to a d-dimensional coefficient vector. A system is its
+clamped knot vector, whose distinct knots are the breakpoints; the basis is
+evaluated on it with the Cox-de Boor recursion. The Gram matrix of the
+shared design is factorized once, and only its factors are kept and reused
+across all series.
 
 `detrend` and `ols_fit` compute every series' result from that series
 alone, summing in an order fixed by the grid and the design. A series
@@ -61,17 +63,15 @@ class TimeGrid:
 class BasisSystem:
     """Clamped cubic B-spline system with d basis functions on [t_lo, t_hi].
 
-    The d-2 breakpoints are equally spaced and include both endpoints;
-    boundary knots are repeated to the spline order so the basis
-    interpolates at the domain ends.
+    The breakpoints are the d-2 distinct knots: equally spaced, both
+    endpoints included. The boundary knots are repeated to the spline order
+    `ORDER`, so the basis interpolates at the domain ends.
     """
 
     t_lo: float
     t_hi: float
     d: int
-    breakpoints: np.ndarray
     knots: np.ndarray
-    order: int = ORDER
 
 
 def make_bspline_system(domain, d: int) -> BasisSystem:
@@ -94,8 +94,7 @@ def make_bspline_system(domain, d: int) -> BasisSystem:
         breakpoints[1:-1],
         np.full(ORDER, t_hi),
     ])
-    return BasisSystem(t_lo=t_lo, t_hi=t_hi, d=d,
-                       breakpoints=breakpoints, knots=knots)
+    return BasisSystem(t_lo=t_lo, t_hi=t_hi, d=d, knots=knots)
 
 
 def _basis_columns(system: BasisSystem, t: np.ndarray):
@@ -159,7 +158,6 @@ class DesignMatrix:
     """
 
     matrix: np.ndarray          # m x d
-    gram: np.ndarray            # d x d
     singular: bool
     _xt: sparse.csr_matrix = field(repr=False, default=None)
     _cho: tuple = field(repr=False, default=None)
@@ -177,9 +175,9 @@ class DesignMatrix:
         xt = sparse.csr_matrix(X.T)
         if singular:
             pinv = np.linalg.pinv(gram, rcond=GRAM_RCOND)
-            return cls(matrix=X, gram=gram, singular=True, _xt=xt, _pinv=pinv)
+            return cls(matrix=X, singular=True, _xt=xt, _pinv=pinv)
         cho = cho_factor(gram)
-        return cls(matrix=X, gram=gram, singular=False, _xt=xt, _cho=cho)
+        return cls(matrix=X, singular=False, _xt=xt, _cho=cho)
 
     @property
     def m(self) -> int:

@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .pipeline import (RunConfig, export_cluster_map, export_mean_functions,
-                       load_labels_civl, load_volume, render_slice,
-                       run_two_stage)
+from .pipeline import (CIVL_MAX_LABEL, RunConfig, export_cluster_map,
+                       export_mean_functions, load_labels_civl, load_volume,
+                       render_slice, run_two_stage)
 from .selection import (SelectionTrace, SlopeEstimationError,
                         estimate_slope_ddse, select_k)
 from .simstudy import DEFAULT_METHODS, adjusted_rand_index, run_study
@@ -130,6 +130,9 @@ def _usable_cpus() -> int:
 
 def cmd_fit(args) -> int:
     cfg = _build_run_config(args)
+    if max(cfg.k_set) > CIVL_MAX_LABEL:
+        raise ValueError(f"candidate k = {max(cfg.k_set)} exceeds {CIVL_MAX_LABEL}, the "
+                         "largest label labels.civl stores; keep the candidates at or below it")
     vol = load_volume(args.input, args.format)
     out = Path(args.out)
     made = not out.exists()

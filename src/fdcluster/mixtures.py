@@ -1,9 +1,8 @@
-"""Gaussian mixture densities over coefficient vectors, nearest means, Bayes allocation.
+"""The spherical mixture over coefficient vectors and its nearest-mean search.
 
-Holds the full-covariance mixture parameters and their one Gaussian
-density kernel, the simplified spherical log-likelihood used to score mean
-models, the nearest-mean search, and the Bayes allocation rule, whose
-labels are 1-based (clusters 1..k).
+Holds the spherical mean model and its log-score, the nearest-mean search,
+the chosen means' distances, the equal-weight spherical log-likelihood used
+to score mean models, and the row log-sum-exp behind it.
 """
 
 from __future__ import annotations
@@ -13,15 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .basis import coef_values
-
-LOG_2PI = math.log(2.0 * math.pi)
-
-# Rows processed per block in the point-parallel loops; fixed so that
-# accumulation order (hence bit-level output) never depends on input size.
-_CHUNK = 1 << 15
 
 # Rows per block of the nearest-mean kernel and the log-likelihood, so that a
 # block's scores and differences stay in cache; every result is per row and
@@ -32,33 +24,6 @@ _NEAREST_ROWS = 1024
 # scores k R per row, so its blocks hold fewer rows, and its temporaries do
 # not grow with R.
 _BLOCK_SCORES = 1 << 16
-
-
-@dataclass
-class GmmParams:
-    """Full mixture parameters: weights, means, and covariances."""
-
-    weights: np.ndarray      # (k,)
-    means: np.ndarray        # (k, d)
-    covariances: np.ndarray  # (k, d, d)
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.means = np.atleast_2d(np.asarray(self.means, dtype=float))
-        self.covariances = np.asarray(self.covariances, dtype=float)
-        k = self.weights.size
-        if self.means.shape[0] != k or self.covariances.shape[0] != k:
-            raise ValueError("weights, means, covariances disagree on k")
-        if np.any(self.weights <= 0) or abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be positive and sum to 1")
-
-    @property
-    def k(self) -> int:
-        return self.weights.size
-
-    @property
-    def d(self) -> int:
-        return self.means.shape[1]
 
 
 @dataclass
@@ -92,32 +57,13 @@ class MeanModel:
         """log of (1/k) (2 pi scale)^(-d/2), shared by every component's log-score."""
         return -math.log(self.k) - 0.5 * self.d * math.log(2.0 * math.pi * self.scale)
 
+    def log_scores(self, d2: np.ndarray) -> np.ndarray:
+        """Log-scores of points at squared distances d2 from their component."""
+        return self.log_score_const - d2 / (2.0 * self.scale)
+
     def finalized(self) -> "MeanModel":
         """Copy with rows sorted lexicographically."""
         return MeanModel(self.means[np.lexsort(self.means.T[::-1])], self.scale)
-
-
-def component_log_densities(B: np.ndarray, params: GmmParams) -> np.ndarray:
-    """(n, k) matrix of log pi_c + log N(b_i; mu_c, V_c), via Cholesky factors."""
-    n, d = B.shape
-    # one stacked call runs the same LAPACK factorization on each matrix
-    try:
-        factors = np.linalg.cholesky(params.covariances)
-    except np.linalg.LinAlgError:
-        for c, V in enumerate(params.covariances):
-            try:
-                np.linalg.cholesky(V)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError(f"covariance {c} is not positive definite") from exc
-        raise
-    out = np.empty((n, params.k))
-    for c, L in enumerate(factors):
-        diff = (B - params.means[c]).T
-        y = solve_triangular(L, diff, lower=True)
-        logdet = 2.0 * np.sum(np.log(np.diag(L)))
-        quad = np.einsum("ij,ij->j", y, y)
-        out[:, c] = math.log(params.weights[c]) - 0.5 * (d * LOG_2PI + logdet + quad)
-    return out
 
 
 def row_logsumexp(a: np.ndarray) -> np.ndarray:
@@ -249,19 +195,18 @@ def nearest_search(U: np.ndarray, means: np.ndarray, u_sq: np.ndarray | None = N
 
 
 def chosen_sq_distances(U: np.ndarray, means: np.ndarray, labels: np.ndarray,
-                        rows: np.ndarray | None = None) -> np.ndarray:
+                        rows: np.ndarray) -> np.ndarray:
     """||u_i - mu_{labels[i]}||^2 in the difference form of `_sq_distances`.
 
-    `labels` (0-based) belong to `rows` of U, or to every row when `rows` is
-    None. Computed in row blocks, so no n x d temporary is made.
+    `labels` (0-based) belong to `rows` of U. Computed in row blocks, so no
+    n x d temporary is made.
     """
-    m = U.shape[0] if rows is None else rows.size
-    out = np.empty(m)
-    for lo in range(0, m, _NEAREST_ROWS):
+    out = np.empty(rows.size)
+    for lo in range(0, rows.size, _NEAREST_ROWS):
         part = slice(lo, lo + _NEAREST_ROWS)
         diff = means[labels[part]]
         # gathered rows are freed at once, so at most two blocks live (peak memory)
-        np.subtract(U[part] if rows is None else U[rows[part]], diff, out=diff)
+        np.subtract(U[rows[part]], diff, out=diff)
         out[part] = np.einsum("ij,ij->i", diff, diff)
     return out
 
@@ -279,23 +224,9 @@ def spherical_log_likelihood(B, model: MeanModel) -> float:
         raise ValueError("empty coefficient set")
     if U.shape[1] != model.d:
         raise ValueError("dimension mismatch between coefficients and means")
-    const, lam = model.log_score_const, model.scale
     rows = np.empty(U.shape[0])
     for lo in range(0, U.shape[0], _NEAREST_ROWS):
-        block = U[lo:lo + _NEAREST_ROWS]
-        scores = const - _sq_distances(block, model.means) / (2.0 * lam)
+        scores = model.log_scores(_sq_distances(U[lo:lo + _NEAREST_ROWS], model.means))
         rows[lo:lo + _NEAREST_ROWS] = row_logsumexp(scores)
     return math.fsum(rows)
-
-
-def bayes_allocate(B, params: GmmParams) -> np.ndarray:
-    """Cluster of maximal posterior weight pi_c N(b; mu_c, V_c) of each row
-    of an (n, d) matrix, 1-based; ties break toward the lowest cluster index.
-    """
-    B = np.asarray(B, dtype=float)
-    labels = np.empty(B.shape[0], dtype=np.int64)
-    for lo in range(0, B.shape[0], _CHUNK):
-        scores = component_log_densities(B[lo:lo + _CHUNK], params)
-        labels[lo:lo + _CHUNK] = np.argmax(scores, axis=1) + 1
-    return labels
 

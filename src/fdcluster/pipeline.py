@@ -44,6 +44,9 @@ _CIVL_MAGIC = b"CIVL"
 _FORMAT_VERSION = 1
 _CIVT_HEADER_BYTES = 40     # magic, five u32, two f64
 
+# The largest label a CIVL record (u16) stores.
+CIVL_MAX_LABEL = 0xFFFF
+
 # Voxels filtered together in stage 1, and rows per block of the squared
 # deviations in `normalize_columns`. Each stage-1 task converts its blocks
 # into one float64 buffer, detrended in place; the stage-1 kernels work per
@@ -332,8 +335,10 @@ def load_volume(path, format: str) -> VolumeSeries:
 # exporters
 
 def export_cluster_map(cv: ClusterVolume, csv_path, civl_path) -> None:
-    """Write labels as CSV (x-fastest order) and as CIVL binary."""
-    cv.validate()
+    """Write labels as CIVL binary and as CSV (x-fastest order). The CIVL
+    writer, called first, refuses labels it cannot store before either file
+    is opened."""
+    save_labels_civl(cv, civl_path)
     nx, ny, nz = cv.dims
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -342,14 +347,13 @@ def export_cluster_map(cv: ClusterVolume, csv_path, civl_path) -> None:
         writer.writerows(zip(x.tolist(), y.tolist(), z.tolist(),
                              cv.labels.astype(np.int64).tolist(),
                              cv.trimmed.astype(np.int64).tolist()))
-    save_labels_civl(cv, civl_path)
 
 
 def save_labels_civl(cv: ClusterVolume, path) -> None:
     cv.validate()
     nx, ny, nz = cv.dims
-    if cv.labels.max() > 0xFFFF:
-        raise ValueError("labels exceed the u16 range of the CIVL format")
+    if cv.labels.max() > CIVL_MAX_LABEL:
+        raise ValueError(f"labels exceed {CIVL_MAX_LABEL}, the u16 range of the CIVL format")
     records = np.empty(cv.labels.size, dtype=[("label", "<u2"), ("trimmed", "u1")])
     records["label"] = cv.labels
     records["trimmed"] = cv.trimmed

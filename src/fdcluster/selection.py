@@ -22,10 +22,6 @@ STABILITY_RTOL = 0.05   # consecutive window slopes within 5% count as stable
 class SlopeEstimationError(RuntimeError):
     """Raised when the loss is not yet linear in the penalty (slope <= 0)."""
 
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or []
-
 
 @dataclass
 class SelectionTrace:
@@ -178,9 +174,7 @@ def estimate_slope_ddse(trace: SelectionTrace) -> SlopeEstimate:
     chosen = lengths[best_idx]
     if kappa == 0 or not np.isfinite(kappa):
         raise SlopeEstimationError(
-            f"estimated slope {slopes[best_idx]:.3e} is unusable; extend the candidate set",
-            diagnostics,
-        )
+            f"estimated slope {slopes[best_idx]:.3e} is unusable; extend the candidate set")
     return SlopeEstimate(kappa=kappa, window=[int(k) for k in ks[K - chosen:]],
                          diagnostics=diagnostics)
 

@@ -4,23 +4,26 @@ Curves are drawn from five coefficient classes on a shared 10-function
 cubic B-spline system, observed with Gaussian noise on a uniform grid,
 filtered back to coefficients by least squares, and clustered with each
 requested method; agreement with the generating labels is summarized by
-the adjusted Rand index over replicates. The full-covariance EM fit behind
-the "gmm" baseline method lives here, next to its one caller.
+the adjusted Rand index over replicates. The "gmm" baseline method lives
+here, next to its one caller: the full-covariance mixture parameters,
+their Gaussian log-densities, the EM fit and the Bayes allocation rule,
+whose labels are 1-based (clusters 1..k).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .basis import (TimeGrid, coef_values, design_matrix, make_bspline_system,
                     ols_fit)
-from .mixtures import (GmmParams, bayes_allocate, component_log_densities,
-                       row_logsumexp)
+from .mixtures import row_logsumexp
 from .tclust import TaskPool, TrimSpec, allocate_all, seed_int, trimmed_kmeans
 
 DEFAULT_METHODS = ("gmm", "kmeans", "trimmed:0.25", "trimmed:0.5")
@@ -30,6 +33,8 @@ EM_RESTARTS = 5
 
 # The most EM iterations one fit runs.
 EM_MAX_ITER = 200
+
+LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _comb2(x: int) -> int:
@@ -110,11 +115,10 @@ class SimConfig:
 
 @dataclass
 class LabeledDataset:
-    """Simulated noisy curves with their generating labels and coefficients."""
+    """Simulated noisy curves with their generating labels."""
 
     series: np.ndarray   # (n, m)
     labels: np.ndarray   # (n,) in 1..k_true
-    coefs: np.ndarray    # (n, d_gen) generating coefficient vectors
     grid: TimeGrid
 
 
@@ -139,7 +143,65 @@ def simulate_study(cfg: SimConfig) -> LabeledDataset:
     system = make_bspline_system(cfg.domain, cfg.d_gen)
     X = design_matrix(system, grid).matrix
     series = coefs @ X.T + cfg.sigma * rng.standard_normal((cfg.n, cfg.m))
-    return LabeledDataset(series=series, labels=labels, coefs=coefs, grid=grid)
+    return LabeledDataset(series=series, labels=labels, grid=grid)
+
+
+@dataclass
+class GmmParams:
+    """Full mixture parameters: weights, means, and covariances."""
+
+    weights: np.ndarray      # (k,)
+    means: np.ndarray        # (k, d)
+    covariances: np.ndarray  # (k, d, d)
+
+    def __post_init__(self):
+        self.weights = np.asarray(self.weights, dtype=float)
+        self.means = np.atleast_2d(np.asarray(self.means, dtype=float))
+        self.covariances = np.asarray(self.covariances, dtype=float)
+        k = self.weights.size
+        if self.means.shape[0] != k or self.covariances.shape[0] != k:
+            raise ValueError("weights, means, covariances disagree on k")
+        if np.any(self.weights <= 0) or abs(self.weights.sum() - 1.0) > 1e-12:
+            raise ValueError("weights must be positive and sum to 1")
+
+    @property
+    def k(self) -> int:
+        return self.weights.size
+
+    @property
+    def d(self) -> int:
+        return self.means.shape[1]
+
+
+def component_log_densities(B: np.ndarray, params: GmmParams) -> np.ndarray:
+    """(n, k) matrix of log pi_c + log N(b_i; mu_c, V_c), via Cholesky factors."""
+    n, d = B.shape
+    # one stacked call runs the same LAPACK factorization on each matrix
+    try:
+        factors = np.linalg.cholesky(params.covariances)
+    except np.linalg.LinAlgError:
+        for c, V in enumerate(params.covariances):
+            try:
+                np.linalg.cholesky(V)
+            except np.linalg.LinAlgError as exc:
+                raise ValueError(f"covariance {c} is not positive definite") from exc
+        raise
+    out = np.empty((n, params.k))
+    for c, L in enumerate(factors):
+        diff = (B - params.means[c]).T
+        y = solve_triangular(L, diff, lower=True)
+        logdet = 2.0 * np.sum(np.log(np.diag(L)))
+        quad = np.einsum("ij,ij->j", y, y)
+        out[:, c] = math.log(params.weights[c]) - 0.5 * (d * LOG_2PI + logdet + quad)
+    return out
+
+
+def bayes_allocate(B, params: GmmParams) -> np.ndarray:
+    """Cluster of maximal posterior weight pi_c N(b; mu_c, V_c) of each row
+    of an (n, d) matrix, 1-based; ties break toward the lowest cluster index.
+    """
+    scores = component_log_densities(np.asarray(B, dtype=float), params)
+    return np.argmax(scores, axis=1) + 1
 
 
 def _em_loglik(B: np.ndarray, params: GmmParams) -> tuple[float, np.ndarray]:

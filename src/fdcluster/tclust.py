@@ -67,11 +67,6 @@ class ClusterFit:
         return self.model.k
 
 
-def _scores(model: MeanModel, d2: np.ndarray) -> np.ndarray:
-    """Log-scores of points at squared distances d2 from their component."""
-    return model.log_score_const - d2 / (2.0 * model.scale)
-
-
 def _retain(scores: np.ndarray, h: int) -> np.ndarray:
     """Ascending indices of the h largest scores; boundary ties toward lower index.
 
@@ -126,7 +121,7 @@ def _certified_retain(U: np.ndarray, model: MeanModel, h: int,
         rows = np.flatnonzero(band[r])
         d2 = chosen_sq_distances(U, model.means[r], labels[r, rows], rows)
         band[r, rows] = False
-        band[r, rows[_retain(_scores(model, d2), need[r])]] = True
+        band[r, rows[_retain(model.log_scores(d2), need[r])]] = True
     keep |= band
     kept = np.flatnonzero(keep).reshape(-1, h)
     kept -= n * np.arange(R)[:, None]
@@ -137,7 +132,7 @@ def _kept_objective(U: np.ndarray, model: MeanModel, rows, labels) -> float:
     """The trimmed objective of one (k, d) model: the exact scores of its kept
     `rows` under their 0-based means `labels`, summed in row order, over n."""
     d2 = chosen_sq_distances(U, model.means, labels, rows)
-    return float(np.sum(_scores(model, d2))) / U.shape[0]
+    return float(np.sum(model.log_scores(d2))) / U.shape[0]
 
 
 def _retain_one(U: np.ndarray, model: MeanModel, trim: TrimSpec):
@@ -213,7 +208,7 @@ def tclust_step(U, model: MeanModel, h: int, u_sq: np.ndarray | None = None
     empty = np.flatnonzero(counts == 0)
     for r in np.unique(empty // k):
         d2 = chosen_sq_distances(U, means[r], lab[r], kept[r])
-        worst_first = kept[r][np.argsort(_scores(model, d2), kind="stable")]
+        worst_first = kept[r][np.argsort(model.log_scores(d2), kind="stable")]
         for slot, c in enumerate(empty[empty // k == r] % k):
             new_means[r, c] = U[worst_first[slot % h]]
 

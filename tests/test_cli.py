@@ -207,6 +207,27 @@ def test_fit_setting_the_volume_cannot_support_is_refused_before_stage1(
     assert not (tmp_path / "x").exists()
 
 
+def test_fit_candidate_above_the_civl_label_range_is_refused_before_stage1(
+        tmp_path, capsys, monkeypatch):
+    # such a k used to run the whole sweep, write trace.csv, slope.json,
+    # selection.json and labels.csv, and then fail in the CIVL writer
+    def stage1(*args):
+        raise AssertionError("stage 1 ran")
+
+    monkeypatch.setattr(pipeline, "_filter_rows", stage1)
+    m = 4
+    vol = VolumeSeries(dims=(256, 256, 1),
+                       series=np.random.default_rng(0).standard_normal((65536, m)),
+                       grid=TimeGrid.uniform(0.0, 1.0, m))
+    path = tmp_path / "vol.civt"
+    save_volume_civt(vol, path)
+    rc = main(["fit", "--input", str(path), "--format", "civt", "--d", "4",
+               "--k-set", "65536", "--alpha", "0", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "k = 65536 exceeds 65535" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_fit_slope_failure_writes_the_sweep_and_exits_3(tmp_path, blocked_civt,
                                                          capsys, monkeypatch):
     def unusable(trace):

@@ -1,7 +1,8 @@
 """Module layout of the package: imports sit at module level, every imported
-name is used, the intra-package import graph has no cycle, every function
-the benchmark's tracer wraps is where it looks for it, and one function
-starts worker processes."""
+name is used, every module-level function and class has a reader, the
+intra-package import graph has no cycle, every function the benchmark's
+tracer wraps is where it looks for it, and one function starts worker
+processes."""
 
 import ast
 import importlib
@@ -148,6 +149,47 @@ def test_every_traced_function_resolves():
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
 
+
+def _unread_definitions(trees, traced):
+    """(module, name) of every module-level function and class with no
+    reader: no reference to its name (a bare name or an attribute) outside
+    its own definition, anywhere in the package, no import of it in
+    ``__init__`` (an export), and no tracer patch site in `traced`."""
+    exported = {alias.asname or alias.name for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name in exported or node.name in traced:
+                continue
+            read = any((isinstance(n, ast.Name) and n.id == node.name)
+                       or (isinstance(n, ast.Attribute) and n.attr == node.name)
+                       for other in trees.values() for stmt in other.body
+                       if stmt is not node for n in ast.walk(stmt))
+            if not read:
+                unread.append((module, node.name))
+    return sorted(unread)
+
+
+def test_every_definition_has_a_reader():
+    # a helper or class only tests read is code the program carries for nothing
+    traced = {attr for _, _, attr in
+              _patch_sites(ast.parse(TRACER.read_text(), filename=str(TRACER)))}
+    assert _unread_definitions(MODULES, traced) == []
+
+
+def test_unread_definition_finder():
+    trees = {name: ast.parse(text) for name, text in {
+        "__init__": "from .a import Exported\n",
+        "a": ("def used():\n    pass\ndef unused():\n    pass\n"
+              "def traced():\n    pass\ndef recursive():\n    return recursive()\n"
+              "class Exported:\n    pass\nclass Annotation:\n    pass\n"),
+        "b": ("from . import a\nfrom .a import used\nused()\n"
+              "def f(x: Annotation):\n    return a.unused\n"),
+    }.items()}
+    assert _unread_definitions(trees, {"traced"}) == [("a", "recursive"), ("b", "f")]
 
 
 def _functions_calling(tree, name):

@@ -13,10 +13,10 @@ from hypothesis.extra import numpy as hnp
 
 import fdcluster
 import fdcluster.mixtures as mixtures
-from fdcluster.mixtures import (GmmParams, MeanModel, bayes_allocate,
-                                component_log_densities, nearest_search, row_logsumexp,
+from fdcluster.mixtures import (MeanModel, nearest_search, row_logsumexp,
                                 spherical_log_likelihood)
-from fdcluster.simstudy import fit_gmm_em
+from fdcluster.simstudy import (GmmParams, bayes_allocate, component_log_densities,
+                                fit_gmm_em)
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -305,6 +305,15 @@ class TestMeanModel:
         np.testing.assert_array_equal(model.means,
                                       [[0.0, -1.0], [0.0, 5.0], [1.0, 0.0]])
         assert model.scale == 2.0
+
+    def test_log_scores_are_the_weighted_spherical_log_densities(self):
+        # oracle: log of (1/k) (2 pi scale)^(-d/2) exp(-d2 / (2 scale))
+        model = MeanModel(np.zeros((4, 3)), scale=0.7)
+        d2 = np.array([0.0, 0.5, 12.0])
+        oracle = [math.log(0.25 * (2 * math.pi * 0.7) ** -1.5 * math.exp(-x / 1.4))
+                  for x in d2]
+        np.testing.assert_allclose(model.log_scores(d2), oracle, rtol=1e-14)
+        assert model.log_scores(np.zeros(1))[0] == model.log_score_const
 
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):

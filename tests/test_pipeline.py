@@ -473,6 +473,15 @@ class TestClusterMapExport:
         with pytest.raises(ValueError):
             save_labels_civl(cv, tmp_path / "x.civl")
 
+    def test_labels_above_the_civl_range_are_refused_before_either_file_opens(
+            self, tmp_path):
+        # the CSV used to be written before the CIVL writer refused the labels
+        cv = ClusterVolume(dims=(2, 1, 1), labels=[1, 70000], trimmed=[False, True],
+                           k=70000)
+        with pytest.raises(ValueError, match="labels exceed 65535"):
+            export_cluster_map(cv, tmp_path / "x.csv", tmp_path / "x.civl")
+        assert list(tmp_path.iterdir()) == []
+
     def test_construction_validates_range(self):
         with pytest.raises(ValueError):
             ClusterVolume(dims=(1, 1, 1), labels=[3], trimmed=[False], k=2)

@@ -63,7 +63,7 @@ def _reference(U, M):
 def test_nearest_mean_matches_exact_argmin(case):
     U, M = case
     labels = nearest_search(U, M[None])[0][0]
-    dist = chosen_sq_distances(U, M, labels)
+    dist = chosen_sq_distances(U, M, labels, np.arange(U.shape[0]))
     ref_labels, ref_dist = _reference(U, M)
     np.testing.assert_array_equal(labels, ref_labels)
     np.testing.assert_array_equal(dist, ref_dist)
@@ -97,7 +97,7 @@ def test_nearest_mean_does_not_depend_on_block_size(monkeypatch, rows):
     expected = _reference(U, M)
     monkeypatch.setattr(mixtures, "_NEAREST_ROWS", rows)
     labels = nearest_search(U, M[None])[0][0]
-    dist = chosen_sq_distances(U, M, labels)
+    dist = chosen_sq_distances(U, M, labels, np.arange(U.shape[0]))
     np.testing.assert_array_equal(labels, expected[0])
     np.testing.assert_array_equal(dist, expected[1])
 
@@ -120,7 +120,7 @@ def test_exact_tie_goes_to_lower_index():
     M = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
     U = np.array([[0.0, 0.0], [0.0, -5.0], [5.0, 5.0]])
     labels = nearest_search(U, M[None])[0][0]
-    dist = chosen_sq_distances(U, M, labels)
+    dist = chosen_sq_distances(U, M, labels, np.arange(U.shape[0]))
     np.testing.assert_array_equal(labels, [0, 0, 0])
     np.testing.assert_array_equal(dist, [1.0, 26.0, 41.0])
 
