@@ -102,20 +102,10 @@ def _build_run_config(args) -> RunConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         values.update(loaded)
-    overrides = {
-        "d": args.d, "lam": getattr(args, "lambda"), "alpha": args.alpha,
-        "restarts": args.restarts, "max_iter": args.max_iter,
-        "seed": args.seed,
-    }
-    for name, value in overrides.items():
+    for name in CONFIG_FIELDS:      # fit's flags are stored under these names
+        value = getattr(args, name)
         if value is not None:
-            values[name] = value
-    if args.k_set is not None:
-        values["k_set"] = _parse_k_set(args.k_set)
-    if args.no_detrend:
-        values["detrend"] = False
-    if args.no_normalize:
-        values["normalize"] = False
+            values[name] = _parse_k_set(value) if name == "k_set" else value
     return RunConfig(**values)
 
 
@@ -233,9 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int)
     p.add_argument("--max-iter", dest="max_iter", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--lambda", type=float, dest="lambda")
-    p.add_argument("--no-detrend", action="store_true")
-    p.add_argument("--no-normalize", action="store_true")
+    p.add_argument("--lambda", type=float, dest="lam", metavar="LAMBDA")
+    p.add_argument("--no-detrend", dest="detrend", action="store_false", default=None)
+    p.add_argument("--no-normalize", dest="normalize", action="store_false", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 

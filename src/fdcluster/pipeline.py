@@ -172,6 +172,8 @@ class ClusterVolume:
         n = nx * ny * nz
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.trimmed = np.asarray(self.trimmed, dtype=bool)
+        if n == 0:
+            raise ValueError(f"a label volume needs at least one voxel, got dims {nx}x{ny}x{nz}")
         if self.labels.shape != (n,) or self.trimmed.shape != (n,):
             raise ValueError("labels/trimmed do not match the volume dims")
         self.validate()
@@ -398,18 +400,12 @@ def render_slice(cv: ClusterVolume, axis: str, index: int, path) -> None:
     """
     grid = cv.grid3d()                         # [z, y, x]
     trimmed = cv.trimmed.reshape(grid.shape)
-    nx, ny, nz = cv.dims
-    sizes = {"x": nx, "y": ny, "z": nz}
-    if axis not in sizes:
+    if axis not in ("x", "y", "z"):
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    if not 0 <= index < sizes[axis]:
-        raise ValueError(f"index {index} outside axis {axis} of size {sizes[axis]}")
-    if axis == "z":
-        plane, mask = grid[index], trimmed[index]
-    elif axis == "y":
-        plane, mask = grid[:, index, :], trimmed[:, index, :]
-    else:
-        plane, mask = grid[:, :, index], trimmed[:, :, index]
+    dim = "zyx".index(axis)
+    if not 0 <= index < grid.shape[dim]:
+        raise ValueError(f"index {index} outside axis {axis} of size {grid.shape[dim]}")
+    plane, mask = grid.take(index, axis=dim), trimmed.take(index, axis=dim)
     pixels = PALETTE[plane % 16]
     pixels[mask] = 0
     height, width = plane.shape

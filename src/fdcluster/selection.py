@@ -143,32 +143,18 @@ def estimate_slope_ddse(trace: SelectionTrace) -> SlopeEstimate:
     pens, loss = pens[order], loss[order]
     ks = np.array(trace.k_values)[order]
 
-    w_max = max(MIN_WINDOW, (K + 1) // 2)
-    w_max = min(w_max, K)
-    lengths = list(range(MIN_WINDOW, w_max + 1))
+    lengths = list(range(MIN_WINDOW, min(K, max(MIN_WINDOW, (K + 1) // 2)) + 1))
     slopes = [_ols_slope(pens[K - w:], loss[K - w:]) for w in lengths]
     diagnostics = list(zip(lengths, slopes))
 
-    stable = []
-    for i in range(len(lengths) - 1):
-        denom = max(abs(slopes[i]), 1e-300)
-        stable.append(abs(slopes[i + 1] - slopes[i]) < STABILITY_RTOL * denom)
-
-    best_idx = len(lengths) - 1
-    if any(stable):
-        run_end, run_len = 0, 0
-        i = 0
-        while i < len(stable):
-            if stable[i]:
-                j = i
-                while j < len(stable) and stable[j]:
-                    j += 1
-                if j - i >= run_len:
-                    run_len, run_end = j - i, j
-                i = j
-            else:
-                i += 1
-        best_idx = run_end  # largest window of the longest stable run
+    # `run` counts the stable pairs ending at window i; a later run wins a tie
+    best_idx, best_run, run = len(lengths) - 1, 1, 0
+    for i in range(1, len(lengths)):
+        denom = max(abs(slopes[i - 1]), 1e-300)
+        stable = abs(slopes[i] - slopes[i - 1]) < STABILITY_RTOL * denom
+        run = run + 1 if stable else 0
+        if run >= best_run:
+            best_idx, best_run = i, run
 
     kappa = abs(slopes[best_idx])
     chosen = lengths[best_idx]

@@ -301,13 +301,6 @@ class StudyReport:
                                  f"{r.ari_mean:.6f}", f"{r.ari_se:.6f}",
                                  f"{r.seconds:.3f}"])
 
-    def cell(self, m: int, n: int, method: str, alpha: float | None = None) -> StudyRow:
-        for r in self.rows:
-            if r.m == m and r.n == n and r.method == method:
-                if alpha is None or abs(r.alpha - alpha) < 1e-12:
-                    return r
-        raise KeyError(f"no row for ({m}, {n}, {method}, {alpha})")
-
 
 def _parse_method(spec: str) -> tuple[str, float]:
     name, sep, arg = spec.partition(":")

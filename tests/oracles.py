@@ -6,7 +6,7 @@ algebra, exhaustive enumeration instead of concentration steps, scipy
 cdist instead of the library's distance kernels). `exact_classification`
 is the exception: it is the library's exact route (`_sq_distances` over
 every row, then `_retain`), which its estimated search must reproduce bit
-for bit.
+for bit. `study_cell` is a plain lookup into a study report.
 """
 
 import itertools
@@ -144,3 +144,50 @@ def contingency_ari(a, b):
     if denom == 0:
         return 1.0
     return (sum_cells - expected) / denom
+
+
+def reference_ddse(ks, pens, loss, min_window=4, rtol=0.05):
+    """(window ks, kappa, [(length, slope)]) of the slope rule, by brute force.
+
+    The windows are the suffixes of the pen-sorted trace from `min_window`
+    points up to the larger half of the candidates. Every maximal run of
+    adjacent stable window pairs (slopes within `rtol` of the shorter
+    window's) is listed; the longest run, the last one on a tie, gives its
+    largest window, and with no stable pair the largest window is used. The
+    slopes are the least-squares formula in the library's arithmetic, so the
+    stability tests compare the same numbers.
+    """
+    order = np.argsort(pens, kind="stable")
+    ks, pens, loss = (np.asarray(a)[order] for a in (ks, pens, loss))
+    K = len(ks)
+    longest = max(min_window, math.ceil(K / 2))
+    lengths = [w for w in range(min_window, K + 1) if w <= longest]
+    slopes = []
+    for w in lengths:
+        x, y = pens[K - w:], loss[K - w:]
+        xc = x - x.mean()
+        slopes.append(float(xc @ (y - y.mean())) / float(xc @ xc))
+    stable = [abs(slopes[i + 1] - slopes[i]) < rtol * max(abs(slopes[i]), 1e-300)
+              for i in range(len(lengths) - 1)]
+    runs = [(start, stop) for start in range(len(stable))
+            for stop in range(start + 1, len(stable) + 1)
+            if all(stable[start:stop])
+            and (start == 0 or not stable[start - 1])
+            and (stop == len(stable) or not stable[stop])]
+    best = len(lengths) - 1
+    if runs:
+        start, stop = max(runs, key=lambda run: (run[1] - run[0], run[1]))
+        best = stop               # pair stop - 1 joins windows stop - 1 and stop
+    chosen = lengths[best]
+    return ([int(k) for k in ks[K - chosen:]], abs(slopes[best]),
+            list(zip(lengths, slopes)))
+
+
+def study_cell(report, m, n, method, alpha=None):
+    """The row of a `StudyReport` for one grid cell and method (any trim
+    level when `alpha` is None); KeyError when the report has none."""
+    for r in report.rows:
+        if r.m == m and r.n == n and r.method == method:
+            if alpha is None or abs(r.alpha - alpha) < 1e-12:
+                return r
+    raise KeyError(f"no row for ({m}, {n}, {method}, {alpha})")

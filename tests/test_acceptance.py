@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from oracles import (contingency_ari, exhaustive_optimum, pair_counting_ari,
-                     reference_lloyd)
+                     reference_lloyd, study_cell)
 
 import fdcluster as fd
 from fdcluster.basis import (TimeGrid, design_matrix, evaluate_basis,
@@ -43,8 +43,8 @@ def test_c01_table1_reproduction():
     rep = fd.run_study("S1", [(100, 1000)], 50,
                        methods=("kmeans", "trimmed:0.5"),
                        seed=20260810, restarts=100)
-    kmeans = rep.cell(100, 1000, "kmeans").ari_mean
-    trimmed = rep.cell(100, 1000, "trimmed", 0.5).ari_mean
+    kmeans = study_cell(rep, 100, 1000, "kmeans").ari_mean
+    trimmed = study_cell(rep, 100, 1000, "trimmed", 0.5).ari_mean
     assert abs(kmeans - 0.972) <= 0.02, f"k-means ARI {kmeans:.4f}"
     assert abs(trimmed - 0.970) <= 0.03, f"trimmed-0.5 ARI {trimmed:.4f}"
     report(1, f"S1 m=100 n=1000: kmeans {kmeans:.4f} (0.972±0.02), "
@@ -58,8 +58,8 @@ def test_c02_table2_gap_reproduction():
     0.934, and the mixture advantage of at least 0.03."""
     rep = fd.run_study("S2", [(100, 2500)], 50,
                        methods=("gmm", "kmeans"), seed=20260811, restarts=100)
-    gmm = rep.cell(100, 2500, "gmm").ari_mean
-    kmeans = rep.cell(100, 2500, "kmeans").ari_mean
+    gmm = study_cell(rep, 100, 2500, "gmm").ari_mean
+    kmeans = study_cell(rep, 100, 2500, "kmeans").ari_mean
     assert abs(gmm - 0.984) <= 0.02, f"GMM ARI {gmm:.4f}"
     assert abs(kmeans - 0.934) <= 0.02, f"k-means ARI {kmeans:.4f}"
     assert gmm - kmeans >= 0.03, f"gap {gmm - kmeans:.4f}"
@@ -78,8 +78,8 @@ def test_c03_scaling_trend():
     for spec in methods:
         name, _, arg = spec.partition(":")
         alpha = float(arg) if arg else None
-        small = rep.cell(100, 500, name, alpha).ari_mean
-        large = rep.cell(1000, 5000, name, alpha).ari_mean
+        small = study_cell(rep, 100, 500, name, alpha).ari_mean
+        large = study_cell(rep, 1000, 5000, name, alpha).ari_mean
         assert large >= small, f"{spec}: {large:.4f} < {small:.4f}"
         gains[spec] = (small, large)
     summary = ", ".join(f"{s} {a:.3f}->{b:.3f}" for s, (a, b) in gains.items())

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -60,6 +61,28 @@ def test_fit_config_file_with_flag_override(tmp_path, blocked_civt):
     assert rc == 0
     selection = json.loads((out / "selection.json").read_text())
     assert selection["k_hat"] == 3
+
+
+def test_fit_flags_set_the_run_config_fields_of_their_names(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"d": 8, "lam": 0.5, "alpha": 0.2, "k_set": [3, 4],
+                                    "restarts": 4, "max_iter": 6, "seed": 2,
+                                    "detrend": False, "normalize": False}))
+    base = ["fit", "--input", "v.civt", "--format", "civt", "--out", "o",
+            "--config", str(cfg_path)]
+    # no flag given: every file value stands
+    cfg = cli._build_run_config(cli.build_parser().parse_args(base))
+    assert dataclasses.asdict(cfg) == {"d": 8, "lam": 0.5, "alpha": 0.2, "k_set": (3, 4),
+                                       "restarts": 4, "max_iter": 6, "seed": 2,
+                                       "detrend": False, "normalize": False}
+    cfg_path.write_text(json.dumps({"detrend": True, "normalize": True}))
+    flags = ["--d", "12", "--lambda", "0.25", "--alpha", "0.1", "--k-set", "2..4,7",
+             "--restarts", "3", "--max-iter", "5", "--seed", "9",
+             "--no-detrend", "--no-normalize"]
+    cfg = cli._build_run_config(cli.build_parser().parse_args(base + flags))
+    assert dataclasses.asdict(cfg) == {"d": 12, "lam": 0.25, "alpha": 0.1,
+                                       "k_set": (2, 3, 4, 7), "restarts": 3, "max_iter": 5,
+                                       "seed": 9, "detrend": False, "normalize": False}
 
 
 def test_fit_unknown_config_field_is_validation_error(tmp_path, blocked_civt):
@@ -472,6 +495,19 @@ def test_render_from_civl(tmp_path, blocked_civt):
     rc = main(["render", "--labels", str(out / "labels.civl"),
                "--axis", "z", "--index", "99", "--out", str(ppm)])
     assert rc == 2
+
+
+def test_render_refuses_a_label_volume_of_zero_voxels(tmp_path, capsys):
+    # used to fail inside numpy: "zero-size array to reduction operation
+    # minimum which has no identity"
+    path = tmp_path / "empty.civl"
+    path.write_bytes(b"CIVL" + np.array([1, 0, 4, 4, 2], dtype="<u4").tobytes())
+    rc = main(["render", "--labels", str(path), "--axis", "z", "--index", "0",
+               "--out", str(tmp_path / "s.ppm")])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: a label volume needs at least one voxel, "
+                                       "got dims 0x4x4\n")
+    assert not (tmp_path / "s.ppm").exists()
 
 
 def test_simulate_writes_report(tmp_path):

@@ -1,8 +1,8 @@
 """Module layout of the package: imports sit at module level, every imported
-name is used, every module-level function and class has a reader, the
-intra-package import graph has no cycle, every function the benchmark's
-tracer wraps is where it looks for it, and one function starts worker
-processes."""
+name is used, every module-level function and class and every method has a
+reader, the intra-package import graph has no cycle, every function the
+benchmark's tracer wraps is where it looks for it, and one function starts
+worker processes."""
 
 import ast
 import importlib
@@ -150,31 +150,52 @@ def test_every_traced_function_resolves():
     assert missing == []
 
 
+def _has_reference(trees, name, definition):
+    """Whether any node of the package outside `definition` reads `name`,
+    as a bare name or an attribute."""
+    stack = list(trees.values())
+    while stack:
+        node = stack.pop()
+        if node is definition:
+            continue
+        if ((isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)):
+            return True
+        stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
 def _unread_definitions(trees, traced):
-    """(module, name) of every module-level function and class with no
-    reader: no reference to its name (a bare name or an attribute) outside
-    its own definition, anywhere in the package, no import of it in
-    ``__init__`` (an export), and no tracer patch site in `traced`."""
+    """(module, name) of every module-level function and class, and every
+    method and property of a module-level class ("Class.name"), with no
+    reader: no reference to its name outside its own definition, anywhere in
+    the package. Dunders are exempt (the language calls them), and so are
+    dataclass fields; a module-level name imported in ``__init__`` (an
+    export) or named by a tracer patch site in `traced` counts as read."""
     exported = {alias.asname or alias.name for node in trees["__init__"].body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     unread = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not isinstance(node, (*functions, ast.ClassDef)):
                 continue
-            if node.name in exported or node.name in traced:
-                continue
-            read = any((isinstance(n, ast.Name) and n.id == node.name)
-                       or (isinstance(n, ast.Attribute) and n.attr == node.name)
-                       for other in trees.values() for stmt in other.body
-                       if stmt is not node for n in ast.walk(stmt))
-            if not read:
+            if (node.name not in exported and node.name not in traced
+                    and not _has_reference(trees, node.name, node)):
                 unread.append((module, node.name))
+            if isinstance(node, ast.ClassDef):
+                unread.extend((module, f"{node.name}.{method.name}")
+                              for method in node.body
+                              if isinstance(method, functions)
+                              and not (method.name.startswith("__")
+                                       and method.name.endswith("__"))
+                              and not _has_reference(trees, method.name, method))
     return sorted(unread)
 
 
 def test_every_definition_has_a_reader():
-    # a helper or class only tests read is code the program carries for nothing
+    # a helper, class, method or property only tests read is code the
+    # program carries for nothing
     traced = {attr for _, _, attr in
               _patch_sites(ast.parse(TRACER.read_text(), filename=str(TRACER)))}
     assert _unread_definitions(MODULES, traced) == []
@@ -188,8 +209,17 @@ def test_unread_definition_finder():
               "class Exported:\n    pass\nclass Annotation:\n    pass\n"),
         "b": ("from . import a\nfrom .a import used\nused()\n"
               "def f(x: Annotation):\n    return a.unused\n"),
+        "c": ("from dataclasses import dataclass\n"
+              "@dataclass\nclass Holder:\n    field_only_tests_read: int = 0\n"
+              "    def __post_init__(self):\n        self.check()\n"
+              "    def check(self):\n        pass\n"
+              "    def lonely(self):\n        return self.lonely()\n"
+              "    @property\n    def size(self):\n        return 1\n"
+              "    @property\n    def shown(self):\n        return 2\n"
+              "print(Holder().shown)\n"),
     }.items()}
-    assert _unread_definitions(trees, {"traced"}) == [("a", "recursive"), ("b", "f")]
+    assert _unread_definitions(trees, {"traced"}) == [
+        ("a", "recursive"), ("b", "f"), ("c", "Holder.lonely"), ("c", "Holder.size")]
 
 
 def _functions_calling(tree, name):

@@ -15,61 +15,9 @@ import fdcluster
 import fdcluster.mixtures as mixtures
 from fdcluster.mixtures import (MeanModel, nearest_search, row_logsumexp,
                                 spherical_log_likelihood)
-from fdcluster.simstudy import (GmmParams, bayes_allocate, component_log_densities,
-                                fit_gmm_em)
+from fdcluster.simstudy import fit_gmm_em
 
 LOG_2PI = math.log(2 * math.pi)
-
-
-def normal_logpdf(x, mean, var):
-    return -0.5 * math.log(2 * math.pi * var) - 0.5 * (x - mean) ** 2 / var
-
-
-class TestGaussianLogDensity:
-    def test_at_mean_identity_covariance(self):
-        d = 7
-        mu = np.random.default_rng(0).normal(size=d)
-        params = GmmParams([1.0], [mu], [np.eye(d)])
-        val = component_log_densities(mu[None], params)[0, 0]
-        assert val == pytest.approx(-d / 2 * LOG_2PI)
-
-    def test_scalar_standard_normal_at_one(self):
-        params = GmmParams([1.0], [[0.0]], [[[1.0]]])
-        val = component_log_densities(np.array([[1.0]]), params)[0, 0]
-        assert val == pytest.approx(-0.5 * LOG_2PI - 0.5)
-
-    def test_diagonal_case_matches_closed_form(self):
-        # oracle: product of univariate normal densities
-        b = np.array([2.0, 0.0])
-        mu = np.zeros(2)
-        V = np.diag([4.0, 1.0])
-        oracle = normal_logpdf(2.0, 0.0, 4.0) + normal_logpdf(0.0, 0.0, 1.0)
-        val = component_log_densities(b[None], GmmParams([1.0], [mu], [V]))[0, 0]
-        assert val == pytest.approx(oracle, abs=1e-12)
-        assert oracle == pytest.approx(-LOG_2PI - 0.5 * math.log(4.0) - 0.5)
-
-    def test_general_covariance_matches_direct_formula(self):
-        rng = np.random.default_rng(1)
-        A = rng.normal(size=(4, 4))
-        V = A @ A.T + 4 * np.eye(4)
-        b = rng.normal(size=4)
-        mu = rng.normal(size=4)
-        diff = b - mu
-        oracle = -0.5 * (4 * LOG_2PI + np.log(np.linalg.det(V))
-                         + diff @ np.linalg.solve(V, diff))
-        val = component_log_densities(b[None], GmmParams([1.0], [mu], [V]))[0, 0]
-        assert val == pytest.approx(oracle, abs=1e-10)
-
-    def test_non_positive_definite_rejected(self):
-        params = GmmParams([1.0], [np.zeros(2)], [[[1.0, 2.0], [2.0, 1.0]]])
-        with pytest.raises(ValueError):
-            component_log_densities(np.zeros((1, 2)), params)
-
-    def test_stack_names_its_first_non_positive_definite_covariance(self):
-        covs = np.stack([np.eye(2), [[1.0, 2.0], [2.0, 1.0]], -np.eye(2)])
-        params = GmmParams(np.full(3, 1 / 3), np.zeros((3, 2)), covs)
-        with pytest.raises(ValueError, match="covariance 1 is not positive definite"):
-            component_log_densities(np.zeros((4, 2)), params)
 
 
 @st.composite
@@ -102,42 +50,6 @@ def test_importing_the_cli_leaves_scipy_special_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
-
-
-class TestMixtureLogDensity:
-    def test_single_component_equals_gaussian(self):
-        rng = np.random.default_rng(2)
-        mu = rng.normal(size=3)
-        params = GmmParams([1.0], [mu], [np.eye(3)])
-        b = rng.normal(size=3)
-        scores = component_log_densities(b[None], params)
-        assert row_logsumexp(scores)[0] == pytest.approx(scores[0, 0], abs=1e-12)
-
-    def test_duplicate_components_collapse(self):
-        mu = np.array([0.5, -0.5])
-        params = GmmParams([0.5, 0.5], [mu, mu], [np.eye(2), np.eye(2)])
-        b = np.array([1.0, 1.0])
-        single = component_log_densities(b[None], GmmParams([1.0], [mu], [np.eye(2)]))
-        assert row_logsumexp(component_log_densities(b[None], params))[0] == pytest.approx(
-            single[0, 0], abs=1e-12)
-
-    def test_scalar_two_component_oracle(self):
-        # oracle: direct summation of the scalar mixture
-        params = GmmParams([0.3, 0.7], [[0.0], [3.0]], [[[1.0]], [[1.0]]])
-        b = np.array([1.0])
-        oracle = math.log(0.3 * math.exp(normal_logpdf(1, 0, 1))
-                          + 0.7 * math.exp(normal_logpdf(1, 3, 1)))
-        scores = component_log_densities(b[None], params)
-        assert row_logsumexp(scores)[0] == pytest.approx(oracle, abs=1e-12)
-
-    def test_finite_even_for_distant_points(self):
-        params = GmmParams([0.5, 0.5], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
-        scores = component_log_densities(np.array([[1e4]]), params)
-        assert np.isfinite(row_logsumexp(scores)[0])
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            GmmParams([0.5, 0.6], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
 
 
 class TestSphericalLogLikelihood:
@@ -209,39 +121,6 @@ def test_log_likelihood_is_the_exact_sum_of_fixed_row_blocks(case):
 
 
 class TestAllocation:
-    def test_bayes_reduces_to_kmeans_under_spherical_equal_weights(self):
-        rng = np.random.default_rng(6)
-        means = rng.normal(size=(4, 3))
-        B = rng.normal(size=(200, 3))
-        model = MeanModel(means)
-        for lam in (0.5, 1.0, 4.0):
-            params = GmmParams(np.full(4, 0.25), means,
-                               np.broadcast_to(lam * np.eye(3), (4, 3, 3)).copy())
-            np.testing.assert_array_equal(bayes_allocate(B, params),
-                                          nearest_search(B, model.means[None])[0][0] + 1)
-
-    def test_point_at_mean_goes_to_that_cluster(self):
-        means = np.array([[0.0, 0.0], [4.0, 4.0], [-3.0, 5.0]])
-        params = GmmParams(np.full(3, 1 / 3), means,
-                           np.broadcast_to(np.eye(2), (3, 2, 2)).copy())
-        for c in range(3):
-            assert bayes_allocate(means[c][None], params)[0] == c + 1
-
-    def test_prior_overrides_nearer_mean(self):
-        # posterior odds 9 * exp(-(1.2^2 - 0.8^2)/2) > 1 favor cluster 1
-        params = GmmParams([0.9, 0.1], [[0.0], [2.0]], [[[1.0]], [[1.0]]])
-        assert bayes_allocate(np.array([1.2])[None], params)[0] == 1
-
-    def test_weight_rescaling_invariance(self):
-        rng = np.random.default_rng(7)
-        means = rng.normal(size=(3, 2))
-        covs = np.broadcast_to(np.eye(2), (3, 2, 2)).copy()
-        w = np.array([0.2, 0.3, 0.5])
-        B = rng.normal(size=(50, 2))
-        base = bayes_allocate(B, GmmParams(w, means, covs))
-        again = bayes_allocate(B, GmmParams((7.0 * w) / (7.0 * w).sum(), means, covs))
-        np.testing.assert_array_equal(base, again)
-
     def test_kmeans_at_mean(self):
         means = np.array([[0.0], [5.0], [9.0]])
         model = MeanModel(means)

@@ -486,6 +486,15 @@ class TestClusterMapExport:
         with pytest.raises(ValueError):
             ClusterVolume(dims=(1, 1, 1), labels=[3], trimmed=[False], k=2)
 
+    def test_empty_volume_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one voxel"):
+            ClusterVolume(dims=(0, 3, 2), labels=[], trimmed=[], k=1)
+        # a CIVL file of zero voxels: the header alone
+        path = tmp_path / "empty.civl"
+        path.write_bytes(b"CIVL" + np.array([1, 3, 0, 2, 1], dtype="<u4").tobytes())
+        with pytest.raises(ValueError, match="at least one voxel, got dims 3x0x2"):
+            load_labels_civl(path)
+
 
 class TestMeanFunctionExport:
     def test_zero_coefficients_zero_curve(self, tmp_path):
@@ -557,6 +566,36 @@ class TestRenderSlice:
             render_slice(cv, "z", 2, tmp_path / "x.ppm")
         with pytest.raises(ValueError):
             render_slice(cv, "w", 0, tmp_path / "x.ppm")
+
+
+    def test_orientation_on_every_axis(self, tmp_path):
+        # dims (4, 3, 2): every slice shape differs, so a transposed plane
+        # has the wrong width or height; the z = 1 voxels reuse the colors
+        # of z = 0 voxels that differ in x and y, so no two voxels of one
+        # slice share a color and a flipped plane shows
+        nx, ny, nz = 4, 3, 2
+        labels = np.array([1 + y * nx + x if z == 0
+                           else 17 + ((y + 1) % ny) * nx + (x + 1) % nx
+                           for z in range(nz) for y in range(ny) for x in range(nx)])
+        trimmed = np.zeros(nx * ny * nz, dtype=bool)
+        trimmed[[0, 7, 13, 22]] = True
+        cv = ClusterVolume(dims=(nx, ny, nz), labels=labels, trimmed=trimmed, k=28)
+
+        def pixel(x, y, z):
+            voxel = (z * ny + y) * nx + x
+            return b"\x00\x00\x00" if trimmed[voxel] else bytes(pipeline.PALETTE[labels[voxel] % 16])
+
+        # (axis, size, width, height, voxel of the pixel in row r, column c)
+        layouts = [("z", nz, nx, ny, lambda i, r, c: (c, r, i)),    # x across, y down
+                   ("y", ny, nx, nz, lambda i, r, c: (c, i, r)),    # x across, z down
+                   ("x", nx, ny, nz, lambda i, r, c: (i, c, r))]    # y across, z down
+        for axis, size, width, height, voxel in layouts:
+            for index in range(size):
+                path = tmp_path / f"{axis}{index}.ppm"
+                render_slice(cv, axis, index, path)
+                expected = b"".join(pixel(*voxel(index, r, c))
+                                    for r in range(height) for c in range(width))
+                assert path.read_bytes() == f"P6\n{width} {height}\n255\n".encode() + expected
 
 
 class TestRunTwoStage:

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_ddse
+
 from fdcluster.selection import (MIN_WINDOW, SelectionTrace,
                                  SlopeEstimationError, estimate_slope_ddse,
                                  penalty_spherical, select_k)
@@ -76,6 +78,87 @@ class TestDdse:
         est = estimate_slope_ddse(trace)
         lengths = [w for w, _ in est.diagnostics]
         assert lengths == list(range(4, 7))  # windows 4..ceil(12/2)
+
+
+def planted_trace(ks, window_slopes, tail=(0.0, 0.5, -0.25), head=0.0, d=10):
+    """Trace whose suffix window of length MIN_WINDOW + i has least-squares
+    slope `window_slopes[i]` (up to rounding). The last three losses are
+    `tail`; each earlier loss is solved from its window's slope, and the
+    points left of the last window get the loss `head`."""
+    ks = np.asarray(ks)
+    pens = np.array([penalty_spherical(int(k), d) for k in ks])
+    K = len(ks)
+    loss = np.full(K, float(head))
+    loss[K - 3:] = tail
+    for w, slope in enumerate(window_slopes, start=MIN_WINDOW):
+        i = K - w
+        xc = pens[i:] - pens[i:].mean()
+        # the slope is sum(xc * loss) / sum(xc**2); solve for loss[i]
+        loss[i] = (slope * (xc @ xc) - xc[1:] @ loss[i + 1:]) / xc[0]
+    return make_trace(ks, loss, d=d)
+
+
+def _reference(trace):
+    return reference_ddse(trace.k_values, trace.pens(), trace.loss())
+
+
+@st.composite
+def plateau_traces(draw):
+    """Traces with K from 4 to 60 candidates (gaps of 1 to 3 in k) whose
+    window slopes form plateaus: runs of equal slopes, next to slopes within
+    and beyond the 5% stability band, and free ones."""
+    K = draw(st.integers(4, 60))
+    ks = np.cumsum(draw(st.lists(st.integers(1, 3), min_size=K, max_size=K)))
+    n_windows = max(MIN_WINDOW, (K + 1) // 2) - MIN_WINDOW + 1
+    slopes = []
+    while len(slopes) < n_windows:
+        value = draw(st.one_of(st.sampled_from([1.0, 1.01, 1.04, 1.2, 2.0, 3.0, -1.0, -0.97]),
+                               st.floats(-10, 10).filter(lambda v: abs(v) > 0.1)))
+        slopes.extend([value] * draw(st.integers(1, 6)))
+    tail = draw(st.lists(st.floats(-2, 2, allow_nan=False), min_size=3, max_size=3))
+    head = draw(st.floats(-5, 5, allow_nan=False))
+    return planted_trace(ks, slopes[:n_windows], tail, head, d=draw(st.sampled_from([1, 10, 100])))
+
+
+class TestDdseAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(plateau_traces())
+    def test_window_kappa_and_diagnostics_match_the_brute_force_reference(self, trace):
+        window, kappa, diagnostics = _reference(trace)
+        est = estimate_slope_ddse(trace)
+        assert est.window == window
+        assert est.kappa == kappa
+        assert est.diagnostics == diagnostics
+
+    def test_tied_runs_go_to_the_later_one(self):
+        # windows 4..9: stable pairs (4,5), (5,6), then (7,8), (8,9): two
+        # runs of two pairs, so window 9 (slope 3) is used
+        ks = range(1, 19)
+        trace = planted_trace(ks, [1.0, 1.0, 1.0, 3.0, 3.0, 3.0])
+        est = estimate_slope_ddse(trace)
+        assert est.window == list(range(10, 19))
+        assert est.kappa == pytest.approx(3.0, rel=1e-9)
+        # a longer earlier run wins over a shorter later one
+        trace = planted_trace(ks, [1.0, 1.0, 1.0, 3.0, 3.0, 5.0])
+        est = estimate_slope_ddse(trace)
+        assert est.window == list(range(13, 19))
+        assert est.kappa == pytest.approx(1.0, rel=1e-9)
+
+    def test_no_stable_pair_uses_the_largest_window(self):
+        ks = range(1, 15)                     # windows 4..7
+        trace = planted_trace(ks, [1.0, 2.0, 4.0, 8.0])
+        est = estimate_slope_ddse(trace)
+        assert est.window == list(range(8, 15))
+        assert est.kappa == pytest.approx(8.0, rel=1e-9)
+
+    @pytest.mark.parametrize("K", [4, 7, 8])
+    def test_one_window(self, K):
+        ks = range(2, 2 + K)
+        trace = planted_trace(ks, [2.5])
+        est = estimate_slope_ddse(trace)
+        assert [w for w, _ in est.diagnostics] == [MIN_WINDOW]
+        assert est.window == list(ks)[-MIN_WINDOW:]
+        assert est.kappa == pytest.approx(2.5, rel=1e-9)
 
 
 class TestSelectK:
