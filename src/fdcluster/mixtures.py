@@ -95,24 +95,24 @@ def row_logsumexp(a: np.ndarray) -> np.ndarray:
 
 
 def _sq_distances(U: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """(n, k) squared Euclidean distances, computed per component."""
-    n = U.shape[0]
-    k = means.shape[0]
-    out = np.empty((n, k))
-    for c in range(k):
-        diff = U - means[c]
+    """(n, k) squared Euclidean distances, computed per component in one buffer."""
+    out = np.empty((U.shape[0], means.shape[0]))
+    diff = np.empty(U.shape)
+    for c, mean in enumerate(means):
+        np.subtract(U, mean, out=diff)
         out[:, c] = np.einsum("ij,ij->i", diff, diff)
     return out
 
 
-def nearest_search(U: np.ndarray, means: np.ndarray, u_sq: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def nearest_search(U: np.ndarray, means: np.ndarray, u_sq: np.ndarray | None = None,
+                   out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nearest mean of every row (0-based), an estimate of the squared
     distance to it, and a bound on the estimate's error, for each of R models.
 
     `means` holds the (R, k, d) means of R models searched together; the
-    labels and estimates are (R, n), with one bound per model. `u_sq` holds
-    the rows' squared norms when the caller has them.
+    labels and estimates are (R, n), with one bound per model. A caller may
+    pass the rows' squared norms `u_sq` and, in `out`, a label and an
+    estimate array whose first R rows take the results.
 
     The labels are bit-identical to ``np.argmin(_sq_distances(U, means[r]),
     axis=1)`` for each model r: ties go to the lowest index. The estimate is
@@ -163,8 +163,7 @@ def nearest_search(U: np.ndarray, means: np.ndarray, u_sq: np.ndarray | None = N
     # such rows are rescored anyway
     small = np.min_scalar_type(k)
     index = np.arange(k, dtype=small)[:, None]
-    labels = np.empty((R, n), dtype=np.intp)
-    est = np.empty((R, n))
+    labels, est = [b[:R] for b in out] if out else (np.empty((R, n), np.intp), np.empty((R, n)))
     u_max = 0.0
     rows = max(1, min(_NEAREST_ROWS, _BLOCK_SCORES // (k * R)))
     for lo in range(0, n, rows):

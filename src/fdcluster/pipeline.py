@@ -546,8 +546,8 @@ def run_two_stage(vol: VolumeSeries, cfg: RunConfig, jobs: int = 1) -> TwoStageR
     design = design_matrix(system, vol.grid)
     coefs = _shared_rows(n, cfg.d)
     stage1 = _stage1_tasks(n, vol.m)
-    k_seqs = np.random.SeedSequence(cfg.seed).spawn(len(cfg.k_set))
-    tasks = [(k, seed_int(seq)) for k, seq in zip(sorted(cfg.k_set), k_seqs)]
+    tasks = [(k, seed_int(seq)) for k, seq in zip(
+        sorted(cfg.k_set), np.random.SeedSequence(cfg.seed).spawn(len(cfg.k_set)))]
     stats = None
     with TaskPool((vol, design, cfg, coefs), min(jobs, max(len(stage1), len(tasks)))) as pool:
         pool.map(_filter_rows, stage1, cost=lambda rows: rows[1] - rows[0])

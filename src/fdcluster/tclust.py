@@ -17,21 +17,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix
 
 from .basis import coef_values
 from .mixtures import MeanModel, chosen_sq_distances, nearest_search
 
 # A fit's restarts step together in batches whose per-restart state fits in
-# `_BATCH_BYTES`. A restart holds `_BYTES_PER_ROW` bytes per row of U (the
-# nearest-mean labels and estimates, the estimates' partition copy, the
-# retain masks) and `_BYTES_PER_KEPT` per kept row (this step's and the last
-# step's kept rows and clusters, the recenter's sort keys and one-hot
-# entries): upper bounds on `tracemalloc` peaks over trim levels. At the
-# paper's n (1.8M rows, alpha 0.9) a batch holds 8 restarts.
+# `_BATCH_BYTES`: `_BYTES_PER_ROW` bytes per row of U and `_BYTES_PER_KEPT`
+# per kept row bound the `tracemalloc` peaks of the retain (28 per row: the
+# search's labels and estimates, their partition copy, masks, the last
+# `assigned`) and the recenter (21 per row, the search's arrays among them,
+# and 14 per kept row). At the paper's n: 10 restarts at alpha 0.9, 8 at 0.
 _BATCH_BYTES = 1 << 29
 _BYTES_PER_ROW = 28
-_BYTES_PER_KEPT = 64
+_BYTES_PER_KEPT = 7
 
 
 @dataclass(frozen=True)
@@ -81,20 +80,21 @@ def _retain(scores: np.ndarray, h: int) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _certified_retain(U: np.ndarray, model: MeanModel, h: int,
-                      u_sq: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _certified_retain(U: np.ndarray, model: MeanModel, h: int, u_sq: np.ndarray | None,
+                      out=None) -> tuple[np.ndarray, np.ndarray]:
     """`_retain` of each restart's exact best scores, from estimated distances.
 
     Stage 2's one retain rule. `model` holds the (R, k, d) means of R
-    restarts. Returns the (R, h) kept rows in ascending order and the (R, n)
-    0-based nearest means of every row. For one
-    restart: `nearest_search` gives each row's label, an estimate `est` and
-    a `bound` such that the chosen difference-form distance D lies within
-    `bound` of `est`, so the h-th smallest estimate, `cut`, lies within
-    `bound` of the h-th smallest D. With w = 2 bound + margin, a row with
-    est < cut - w has a D more than the margin below that h-th D, and a row
-    with est > cut + w has one more than the margin above it. Two distances
-    D1 < D2 get strictly ordered scores const - D / t (t = 2 scale) once
+    restarts. Returns the (R, n) keep mask, h rows true per restart, and the
+    (R, n) 0-based nearest means of every row, written into `out` as
+    `nearest_search` does. For one restart: `nearest_search` gives each
+    row's label, an estimate `est` and a `bound` such that the chosen
+    difference-form distance D lies within `bound` of `est`, so the h-th
+    smallest estimate, `cut`, lies within `bound` of the h-th smallest D.
+    With w = 2 bound + margin, a row with est < cut - w has a D more than
+    the margin below that h-th D, and a row with est > cut + w has one more
+    than the margin above it. Two distances D1 < D2 get strictly ordered
+    scores const - D / t (t = 2 scale) once
     D2 - D1 > 2.01 eps (D1 + D2) + 2 eps t |const|, since D / t and the
     subtraction each round by eps of their size; the margin,
     16 eps (|cut| + bound + t |const|), exceeds that near the cut and also
@@ -106,10 +106,10 @@ def _certified_retain(U: np.ndarray, model: MeanModel, h: int,
     (all of them when they are exactly that many). When h is every row,
     both rules keep them all, and no cut is made.
     """
-    labels, est, bound = nearest_search(U, model.means, u_sq)
+    labels, est, bound = nearest_search(U, model.means, u_sq, out)
     R, n = labels.shape
     if h == n:
-        return np.tile(np.arange(n), (R, 1)), labels
+        return np.ones((R, n), dtype=bool), labels
     cut = np.partition(est, h - 1, axis=1)[:, h - 1]
     t = 2.0 * model.scale
     margin = 16.0 * 2.0 ** -53 * (np.abs(cut) + bound + t * abs(model.log_score_const))
@@ -123,25 +123,33 @@ def _certified_retain(U: np.ndarray, model: MeanModel, h: int,
         band[r, rows] = False
         band[r, rows[_retain(model.log_scores(d2), need[r])]] = True
     keep |= band
-    kept = np.flatnonzero(keep).reshape(-1, h)
-    kept -= n * np.arange(R)[:, None]
-    return kept, labels
+    return keep, labels
 
 
-def _kept_objective(U: np.ndarray, model: MeanModel, rows, labels) -> float:
-    """The trimmed objective of one (k, d) model: the exact scores of its kept
-    `rows` under their 0-based means `labels`, summed in row order, over n."""
-    d2 = chosen_sq_distances(U, model.means, labels, rows)
+def _assigned(keep: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """A step's state: each row's 1-based cluster where `keep` holds, else 0, in
+    the smallest unsigned type that holds k (cast first: cheap arithmetic)."""
+    assigned = labels.astype(np.min_scalar_type(k))
+    assigned += 1
+    assigned *= keep
+    return assigned
+
+
+def _kept_objective(U: np.ndarray, model: MeanModel, assigned: np.ndarray) -> float:
+    """The trimmed objective of one (k, d) model: the exact scores of the rows
+    `assigned` keeps under their clusters, summed in row order, over n."""
+    rows = np.flatnonzero(assigned)
+    d2 = chosen_sq_distances(U, model.means, assigned[rows] - 1, rows)
     return float(np.sum(model.log_scores(d2))) / U.shape[0]
 
 
 def _retain_one(U: np.ndarray, model: MeanModel, trim: TrimSpec):
-    """One (k, d) model's kept rows at level `trim` and every row's label."""
+    """One (k, d) model's keep mask at level `trim` and every row's label."""
     h = trim.retained_count(U.shape[0])
     if h < 1:
         raise ValueError("trim level leaves no points")
-    kept, labels = _certified_retain(U, MeanModel(model.means[None], model.scale), h, None)
-    return kept[0], labels[0]
+    keep, labels = _certified_retain(U, MeanModel(model.means[None], model.scale), h, None)
+    return keep[0], labels[0]
 
 
 def tclust_objective(U, model: MeanModel, trim: TrimSpec) -> float:
@@ -152,67 +160,60 @@ def tclust_objective(U, model: MeanModel, trim: TrimSpec) -> float:
     zero. The average is over all n points.
     """
     U = coef_values(U)
-    kept, labels = _retain_one(U, model, trim)
-    return _kept_objective(U, model, kept, labels[kept])
+    return _kept_objective(U, model, _assigned(*_retain_one(U, model, trim), model.k))
 
 
-def tclust_step(U, model: MeanModel, h: int, u_sq: np.ndarray | None = None
-                ) -> tuple[MeanModel, np.ndarray, np.ndarray]:
+def tclust_step(U, model: MeanModel, h: int, u_sq: np.ndarray | None = None,
+                out=None) -> tuple[MeanModel, np.ndarray]:
     """One concentration step of R restarts: retain h rows, split by
     nearest mean, recenter.
 
     `model` holds the (R, k, d) means of R restarts. Returns the updated
-    model, the (R, h) ascending indices of each restart's retained points
-    and their 1-based clusters; `trimmed_kmeans` stops a restart when its
-    last two repeat. Each restart's result is the one it gets alone.
-    Clusters left empty by the split are re-seeded at the worst-scoring
-    retained points (successively, in cluster order), which keeps the
-    update deterministic. `u_sq` holds the rows' squared norms when the
-    caller has them.
+    model and the step's (R, n) `_assigned` state; `trimmed_kmeans` stops a
+    restart when its last two repeat. Each restart's result is the one it
+    gets alone. Clusters left empty by the split are re-seeded at the
+    worst-scoring retained points (successively, in cluster order), which
+    keeps the update deterministic. `u_sq` and `out` go to the search
+    (`nearest_search`) when the caller has them.
     """
     U = coef_values(U)
-    n, d = U.shape
-    k = model.k
+    n = U.shape[0]
+    R, k, d = model.means.shape
     if h < k:
         raise ValueError("retained count is smaller than the cluster count")
-    means = model.means
-    R = means.shape[0]
 
-    kept, lab = _certified_retain(U, model, h, u_sq)
-    lab = np.take_along_axis(lab, kept, axis=1)
+    assigned = _assigned(*_certified_retain(U, model, h, u_sq, out), k)
 
-    # one stable sort (a radix sort on the small key type) lays out each
-    # (restart, cluster)'s members contiguously and in ascending index order;
-    # the one-hot (R k) x n CSR product then adds each cluster's rows in that
-    # order, from zero, as U[members].sum(axis=0) does, without copying them
-    key = lab.astype(np.min_scalar_type(R * k))
-    key += (k * np.arange(R, dtype=key.dtype))[:, None]
-    key = key.ravel()
-    counts = np.bincount(key, minlength=R * k)
-    members = kept.ravel()[np.argsort(key, kind="stable")]
-    indptr = np.concatenate(([0], np.cumsum(counts)))
     if d > 1:
-        # scipy stores the indices as int32 when they fit, and checks and
-        # converts wider ones on every construction
+        # a (R k) x n CSC one-hot, one column per row of U holding its clusters
+        # in restart order: its product with U adds each cluster's rows in
+        # ascending row order, from zero, as U[members].sum(axis=0) does
+        by_row = np.ascontiguousarray(assigned.T)
+        kept = by_row != 0
+        key = by_row.astype(np.min_scalar_type(R * k))
+        key += k * np.arange(R, dtype=key.dtype)
+        # scipy keeps int32 indices that fit, and converts wider ones each time
         idx = np.int32 if n <= np.iinfo(np.int32).max else np.intp
-        onehot = csr_matrix((np.ones(R * h), members.astype(idx), indptr.astype(idx)),
-                            shape=(R * k, n))
-        new_means = onehot @ U
+        indices = np.subtract(np.compress(kept.ravel(), key.ravel()), 1, dtype=idx)
+        indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(kept, axis=1)))).astype(idx)
+        counts = np.bincount(indices, minlength=R * k)
+        new_means = csc_matrix((np.ones(R * h), indices, indptr), shape=(R * k, n)) @ U
     else:
-        # numpy sums a single column pairwise, not row after row; gathering
-        # it copies only n numbers
-        new_means = np.stack([U[members[a:b]].sum(axis=0)
-                              for a, b in zip(indptr[:-1], indptr[1:])])
+        # numpy sums one column pairwise, not row after row: masks gather it
+        groups = [U[a == c] for a in assigned for c in range(1, k + 1)]
+        counts = np.array([group.shape[0] for group in groups])
+        new_means = np.stack([group.sum(axis=0) for group in groups])
     new_means /= np.maximum(counts, 1)[:, None]
     new_means = new_means.reshape(R, k, d)
     empty = np.flatnonzero(counts == 0)
     for r in np.unique(empty // k):
-        d2 = chosen_sq_distances(U, means[r], lab[r], kept[r])
-        worst_first = kept[r][np.argsort(model.log_scores(d2), kind="stable")]
+        rows = np.flatnonzero(assigned[r])
+        d2 = chosen_sq_distances(U, model.means[r], assigned[r, rows] - 1, rows)
+        worst_first = rows[np.argsort(model.log_scores(d2), kind="stable")]
         for slot, c in enumerate(empty[empty // k == r] % k):
             new_means[r, c] = U[worst_first[slot % h]]
 
-    return MeanModel(new_means, model.scale), kept, lab + 1
+    return MeanModel(new_means, model.scale), assigned
 
 
 def seed_int(seq: np.random.SeedSequence) -> int:
@@ -291,15 +292,16 @@ def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,
 
     Restart r starts from k distinct points drawn uniformly from U with the
     stream SeedSequence(seed, spawn_key=(r,)), and iterates the
-    concentration step until the retained set and all assignments repeat,
-    or `max_iter` is reached. The restart with the largest final objective
-    wins (the first in restart order among equals); its means are returned
-    in lexicographic order.
+    concentration step until its `assigned` row (the retained set and every
+    assignment) repeats, or `max_iter` is reached. The restart with the
+    largest final objective wins (the first in restart order among equals);
+    its means are returned in lexicographic order.
 
     Restarts step together in batches of as many as `_BATCH_BYTES` holds
     at `_BYTES_PER_ROW` bytes per row and `_BYTES_PER_KEPT` per kept row
-    each (at least one); a restart leaves the batch when it stops and the
-    next one takes its place. Batching changes no restart's result.
+    each (at least one; 8 to 10 at the paper's n of 1.8M rows); a restart
+    leaves the batch when it stops and the next one takes its place.
+    Batching changes no restart's result.
 
     A restart's objective sums its kept rows' exact scores in row order.
     One that stopped on a repeat with no cluster empty keeps its last
@@ -322,15 +324,17 @@ def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
 
-    cap = max(1, _BATCH_BYTES // (_BYTES_PER_ROW * n + _BYTES_PER_KEPT * h))
+    cap = min(restarts, max(1, _BATCH_BYTES // (_BYTES_PER_ROW * n + _BYTES_PER_KEPT * h)))
     u_sq = np.einsum("ij,ij->i", U, U)
+    # every search's labels and estimates go here: freed per step, their pages fault in anew
+    search = np.empty((cap, n), np.intp), np.empty((cap, n))
 
     # the batch: restart indices, their means, steps taken and the last
-    # step's kept rows and clusters (-1 before the first step)
+    # step's `assigned` rows (all 0 before the first step: no step keeps none)
     order = np.empty(0, dtype=np.intp)
     means = np.empty((0, k, d))
     iterations = np.empty(0, dtype=np.intp)
-    prev_kept = prev_labels = np.empty((0, h), dtype=np.intp)
+    prev = np.empty((0, n), dtype=np.min_scalar_type(k))
     best = None
     next_r = 0
     while next_r < restarts or order.size:
@@ -343,30 +347,28 @@ def trimmed_kmeans(U, k: int, trim: TrimSpec, restarts: int = 20,
             order = np.concatenate((order, joining))
             means = np.concatenate((means, starts))
             iterations = np.concatenate((iterations, np.zeros(len(joining), np.intp)))
-            prev_kept, prev_labels = (np.concatenate((prev, np.full((len(joining), h), -1)))
-                                      for prev in (prev_kept, prev_labels))
+            prev = np.concatenate((prev, np.zeros((len(joining), n), prev.dtype)))
             next_r = joining.stop
 
-        model, kept, kept_labels = tclust_step(U, MeanModel(means, scale), h, u_sq)
+        model, assigned = tclust_step(U, MeanModel(means, scale), h, u_sq, search)
         iterations += 1
-        repeated = (kept == prev_kept).all(axis=1) & (kept_labels == prev_labels).all(axis=1)
+        repeated = (assigned == prev).all(axis=1)
         done = repeated | (iterations == max_iter)
         stay = ~done
-        # each finished restart's kept rows and 0-based clusters: copied from
-        # its last step (the batch's rows go before any scoring: peak memory)
-        # or from one retain of the others
-        last = {j: (kept[j].copy(), kept_labels[j] - 1) for j in np.flatnonzero(repeated)
-                if np.bincount(kept_labels[j], minlength=k + 1)[1:].all()}
-        prev_kept, prev_labels = kept[stay], kept_labels[stay]
-        del kept, kept_labels
+        # each finished restart's `assigned` row: copied from its last step
+        # (the batch's rows go before any scoring: peak memory) or from one
+        # retain of the others
+        last = {j: assigned[j].copy() for j in np.flatnonzero(repeated)
+                if np.bincount(assigned[j], minlength=k + 1)[1:].all()}
+        prev = assigned[stay]
+        del assigned
         unsearched = [j for j in np.flatnonzero(done) if j not in last]
         if unsearched:
-            rows, labels = _certified_retain(U, MeanModel(model.means[unsearched], scale), h, u_sq)
-            last.update((j, (rows[i], labels[i, rows[i]])) for i, j in enumerate(unsearched))
-            del rows, labels
+            last.update(zip(unsearched, _assigned(*_certified_retain(
+                U, MeanModel(model.means[unsearched], scale), h, u_sq, search), k)))
         for j in np.flatnonzero(done):
             fit = MeanModel(model.means[j], scale)
-            objective = _kept_objective(U, fit, *last.pop(j))
+            objective = _kept_objective(U, fit, last.pop(j))
             r = int(order[j])
             if best is None or objective > best[0] or (objective == best[0] and r < best[3]):
                 best = (objective, fit, int(iterations[j]), r)
@@ -386,7 +388,5 @@ def allocate_all(U, fit: ClusterFit, trim: TrimSpec) -> tuple[np.ndarray, np.nda
     first in their sorted order.
     """
     U = coef_values(U)
-    kept, labels = _retain_one(U, fit.model, trim)
-    trimmed = np.ones(U.shape[0], dtype=bool)
-    trimmed[kept] = False
-    return labels + 1, trimmed
+    keep, labels = _retain_one(U, fit.model, trim)
+    return labels + 1, ~keep

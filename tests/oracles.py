@@ -6,7 +6,8 @@ algebra, exhaustive enumeration instead of concentration steps, scipy
 cdist instead of the library's distance kernels). `exact_classification`
 is the exception: it is the library's exact route (`_sq_distances` over
 every row, then `_retain`), which its estimated search must reproduce bit
-for bit. `study_cell` is a plain lookup into a study report.
+for bit. `study_cell` is a plain lookup into a study report, and
+`kept_and_labels` a plain reading of a concentration step's state.
 """
 
 import itertools
@@ -57,6 +58,14 @@ def exact_classification(U, model, h):
     trimmed = np.ones(U.shape[0], dtype=bool)
     trimmed[kept] = False
     return labels + 1, trimmed, float(np.sum(scores[kept])) / U.shape[0]
+
+
+def kept_and_labels(assigned):
+    """The (R, h) ascending kept rows of each restart and their 1-based
+    clusters, from a concentration step's (R, n) `assigned` array (0 marks a
+    trimmed row); restarts keeping different counts raise."""
+    kept = np.stack([np.flatnonzero(row) for row in assigned])
+    return kept, np.take_along_axis(assigned, kept, axis=1)
 
 
 def brute_objective(U, means, alpha, lam=1.0):

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import exact_classification, exact_scores
+from oracles import exact_classification, exact_scores, kept_and_labels
 
 import fdcluster.mixtures as mixtures
 from fdcluster.mixtures import (MeanModel, _sq_distances, chosen_sq_distances,
@@ -82,7 +82,8 @@ def test_step_means_match_per_cluster_mean(case, alpha):
     trim = TrimSpec(alpha)
     assume(trim.retained_count(U.shape[0]) >= M.shape[0])
     h = trim.retained_count(U.shape[0])
-    updated, (kept,), (kept_labels,) = tclust_step(U, MeanModel(M[None]), h)
+    updated, assigned = tclust_step(U, MeanModel(M[None]), h)
+    (kept,), (kept_labels,) = kept_and_labels(assigned)
     for c in range(M.shape[0]):
         members = kept[kept_labels == c + 1]
         if members.size:
@@ -114,6 +115,19 @@ def test_stacked_search_does_not_depend_on_block_size(monkeypatch, scores):
         ref_labels, ref_dist = _reference(U, means)
         np.testing.assert_array_equal(labels[r], ref_labels)
         assert np.all(np.abs(est[r] - ref_dist) <= bound[r])
+
+
+def test_search_writes_into_the_first_rows_of_given_arrays():
+    # a fit keeps one label and one estimate array for its largest batch
+    rng = np.random.default_rng(2)
+    U = np.round(rng.normal(size=(300, 5)), 1) + 1e3
+    sets = np.round(rng.normal(size=(3, 4, 5)), 1) + 1e3
+    out = np.full((5, 300), -1, dtype=np.intp), np.full((5, 300), np.nan)
+    got = nearest_search(U, sets, None, out)
+    for a, b in zip(got, nearest_search(U, sets)):
+        np.testing.assert_array_equal(a, b)
+    assert np.shares_memory(got[0], out[0]) and np.shares_memory(got[1], out[1])
+    assert (out[0][3:] == -1).all() and np.isnan(out[1][3:]).all()
 
 
 def test_exact_tie_goes_to_lower_index():
@@ -203,8 +217,8 @@ def _reference_step(U, M, trim, scale):
 def test_step_matches_the_exact_reference(case):
     U, M, trim, scale = case
     assume(trim.retained_count(U.shape[0]) >= M.shape[0])
-    model, (kept,), (kept_labels,) = tclust_step(U, MeanModel(M[None], scale),
-                                                 trim.retained_count(U.shape[0]))
+    model, assigned = tclust_step(U, MeanModel(M[None], scale), trim.retained_count(U.shape[0]))
+    (kept,), (kept_labels,) = kept_and_labels(assigned)
     means, ref_kept, ref_labels = _reference_step(U, M, trim, scale)
     np.testing.assert_array_equal(kept, ref_kept)
     np.testing.assert_array_equal(kept_labels, ref_labels)
@@ -266,7 +280,10 @@ def test_batched_step_matches_each_restarts_exact_reference(data, case):
     h = trim.retained_count(U.shape[0])
     assume(h >= M.shape[0])
     sets = data.draw(mean_sets(M))
-    model, kept, kept_labels = tclust_step(U, MeanModel(sets, scale), h)
+    model, assigned = tclust_step(U, MeanModel(sets, scale), h)
+    assert assigned.shape == (sets.shape[0], U.shape[0])
+    assert assigned.dtype == np.min_scalar_type(M.shape[0])
+    kept, kept_labels = kept_and_labels(assigned)
     assert kept.shape == kept_labels.shape == (sets.shape[0], h)
     for r, means in enumerate(sets):
         ref_means, ref_kept, ref_labels = _reference_step(U, means, trim, scale)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import (brute_objective, exact_classification, exhaustive_optimum,
-                     reference_lloyd)
+                     kept_and_labels, reference_lloyd)
 
 import fdcluster.tclust as tclust
 from fdcluster.mixtures import MeanModel, chosen_sq_distances, nearest_search
@@ -97,14 +97,15 @@ class TestStep:
         b = rng.normal(10, 0.5, (20, 2))
         U = np.vstack([a, b])
         centroids = np.vstack([a.mean(axis=0), b.mean(axis=0)])
-        updated, kept, _ = tclust_step(U, MeanModel(centroids[None]), 40)
+        updated, assigned = tclust_step(U, MeanModel(centroids[None]), 40)
+        kept, _ = kept_and_labels(assigned)
         np.testing.assert_allclose(updated.means[0], centroids, atol=1e-12)
         assert kept.size == 40
 
     def test_single_cluster_moves_to_grand_mean(self):
         rng = np.random.default_rng(4)
         U = rng.normal(size=(15, 3))
-        updated, _, _ = tclust_step(U, MeanModel(rng.normal(size=(1, 1, 3))), 15)
+        updated, _ = tclust_step(U, MeanModel(rng.normal(size=(1, 1, 3))), 15)
         np.testing.assert_allclose(updated.means[0, 0], U.mean(axis=0), atol=1e-12)
 
     def test_outlier_trimmed_and_centroids_recovered(self):
@@ -113,7 +114,8 @@ class TestStep:
         U = np.array([[0.0, 0.0], [0.2, 0.0], [5.0, 5.0], [5.2, 5.0], [80.0, -40.0]])
         trim = TrimSpec(0.2)
         model = MeanModel(np.array([[[0.0, 0.0], [5.0, 5.0]]]))
-        step, kept, _ = tclust_step(U, model, trim.retained_count(5))
+        step, assigned = tclust_step(U, model, trim.retained_count(5))
+        kept, _ = kept_and_labels(assigned)
         updated = MeanModel(step.means[0])
         assert 4 not in kept
         np.testing.assert_allclose(
@@ -128,7 +130,7 @@ class TestStep:
         model = MeanModel(U[rng.choice(60, 2, replace=False)])
         prev = tclust_objective(U, model, trim)
         for _ in range(10):
-            step, _, _ = tclust_step(U, MeanModel(model.means[None]), trim.retained_count(60))
+            step, _ = tclust_step(U, MeanModel(model.means[None]), trim.retained_count(60))
             model = MeanModel(step.means[0])
             objective = tclust_objective(U, model, trim)
             assert objective >= prev - 1e-10
@@ -333,7 +335,8 @@ class TestAllocateAll:
         fit = trimmed_kmeans(U, 3, TrimSpec(0.0), restarts=4, seed=2)
         labels, trimmed = allocate_all(U, fit, TrimSpec(0.0))
         assert not trimmed.any()
-        step, (kept,), (step_labels,) = tclust_step(U, MeanModel(fit.model.means[None]), 90)
+        step, assigned = tclust_step(U, MeanModel(fit.model.means[None]), 90)
+        (kept,), (step_labels,) = kept_and_labels(assigned)
         np.testing.assert_array_equal(kept, np.arange(90))
         np.testing.assert_array_equal(labels, step_labels)
         np.testing.assert_allclose(step.means[0], fit.model.means, atol=1e-12)
@@ -421,7 +424,8 @@ def _reference_fit(U, k, trim, restarts, max_iter, seed):
         model = MeanModel(U[rng.choice(n, size=k, replace=False)])
         last = None
         for iterations in range(1, max_iter + 1):
-            step, (kept,), (labels,) = tclust_step(U, MeanModel(model.means[None]), h)
+            step, assigned = tclust_step(U, MeanModel(model.means[None]), h)
+            (kept,), (labels,) = kept_and_labels(assigned)
             model = MeanModel(step.means[0])
             if (last is not None and np.array_equal(kept, last[0])
                     and np.array_equal(labels, last[1])):
